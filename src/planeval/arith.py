@@ -3,15 +3,15 @@ extraction from model text, and the single-step probe harness."""
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .gateway import Gateway, GatewayError, ModelSpec, user_message
+from .jsonio import write_jsonl
 
 PROBE_PROMPT = (
     "Compute the value of the following expression. Reply with only the number.\n{expression}"
@@ -260,27 +260,16 @@ def measure_p_exe(
 
     results = tuple(res for _, res in outcomes if res is not None)
     ungraded = tuple(probe.expression for probe, res in outcomes if res is None)
-    run = ProbeRun(results=results, ungraded=ungraded)
     if out_path is not None:
-        _persist_probe_results(run, out_path)
-    return run
-
-
-def _persist_probe_results(run: ProbeRun, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in run.results:
-            fh.write(
-                json.dumps(
-                    {
-                        "expression": r.expression,
-                        "expected": str(r.expected),
-                        "model_text": r.model_text,
-                        "parsed": None if r.parsed is None else str(r.parsed),
-                        "correct": r.correct,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        write_jsonl(
+            out_path,
+            (
+                {
+                    **asdict(r),
+                    "expected": str(r.expected),
+                    "parsed": None if r.parsed is None else str(r.parsed),
+                }
+                for r in results
+            ),
+        )
+    return ProbeRun(results=results, ungraded=ungraded)

@@ -3,7 +3,6 @@ multi-call tool tasks, with the cleaning rules applied at load time."""
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -13,17 +12,10 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import arith
+from .jsonio import FormatError, read_jsonl
 
 ANNOTATION_RE = re.compile(r"<<([^<>]*)>>")
 FINAL_ANSWER_RE = re.compile(r"####\s*([^\n]*)")
-
-
-class FormatError(ValueError):
-    """Corpus file violates the expected line format."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class ParseError(ValueError):
@@ -154,19 +146,6 @@ class ToolLoadResult:
     drop_reasons: Mapping[str, int]
 
 
-def _iter_jsonl(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
-            yield line_no, obj
-
-
 def _parse_decimal(text: str) -> Fraction:
     cleaned = text.replace(",", "").replace("$", "").strip().rstrip(".")
     return Fraction(cleaned)
@@ -183,7 +162,7 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     relative) are flagged, never silently fixed.
     """
     problems: list[MathProblem] = []
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, obj in read_jsonl(path):
         if "question" not in obj or "answer" not in obj:
             raise FormatError("missing question/answer field", line_no)
         question = obj["question"]
@@ -294,7 +273,7 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
     dropped_tasks = 0
     dropped_calls = 0
     reasons: Counter[str] = Counter()
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, obj in read_jsonl(path):
         for key in ("task", "functions", "calls"):
             if key not in obj:
                 raise FormatError(f"missing {key} field", line_no)

@@ -16,6 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import requests
 
+from .jsonio import atomic_open, json_line, read_jsonl, write_jsonl
+
 VALID_ROLES = ("system", "user", "assistant")
 DEFAULT_MAX_IN_FLIGHT = 8
 
@@ -207,22 +209,15 @@ class MockTransport:
     def load(cls, path: str | Path) -> "MockTransport":
         by_digest: dict[str, str] = {}
         by_prompt: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if "response_text" not in obj:
-                    raise ValueError(f"transcript line {line_no}: missing response_text")
-                if "prompt_digest" in obj:
-                    by_digest[obj["prompt_digest"]] = obj["response_text"]
-                elif "prompt_text" in obj:
-                    by_prompt[obj["prompt_text"]] = obj["response_text"]
-                else:
-                    raise ValueError(
-                        f"transcript line {line_no}: need prompt_digest or prompt_text"
-                    )
+        for line_no, obj in read_jsonl(path):
+            if "response_text" not in obj:
+                raise ValueError(f"transcript line {line_no}: missing response_text")
+            if "prompt_digest" in obj:
+                by_digest[obj["prompt_digest"]] = obj["response_text"]
+            elif "prompt_text" in obj:
+                by_prompt[obj["prompt_text"]] = obj["response_text"]
+            else:
+                raise ValueError(f"transcript line {line_no}: need prompt_digest or prompt_text")
         return cls(by_digest, by_prompt)
 
     @property
@@ -244,17 +239,9 @@ class MockTransport:
 
 def write_transcript(path: str | Path, entries: Iterable[tuple[str, str]]) -> Path:
     """Write a mock transcript file from (prompt_text, response_text) pairs."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for prompt, response in entries:
-            fh.write(
-                json.dumps(
-                    {"prompt_text": prompt, "response_text": response}, ensure_ascii=False
-                )
-                + "\n"
-            )
-    return path
+    return write_jsonl(
+        path, ({"prompt_text": prompt, "response_text": response} for prompt, response in entries)
+    )
 
 
 class Gateway:
@@ -354,8 +341,6 @@ class Gateway:
     def _write_cache(
         self, digest: str, request: ChatRequest, response: ChatResponse, retries: int
     ) -> None:
-        path = self.cache_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "request": json.loads(canonical_request(request)),
             "response": {
@@ -366,7 +351,5 @@ class Gateway:
             "timestamp": time.time(),
             "retry_count": retries,
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        with atomic_open(self.cache_path(digest)) as fh:
+            fh.write(json_line(entry))

@@ -316,6 +316,56 @@ def solve_with_plan(
     )
 
 
+def generate_plans(
+    gateway: Gateway,
+    planners: Sequence[ModelSpec],
+    corpus: Sequence[MathProblem | ToolTask],
+    concurrency: int = 8,
+) -> dict[tuple[ModelSpec, int], Plan | GatewayError]:
+    """Round1 once per (planner, item position), in planner-major, item order.
+
+    Each value is the plan or the GatewayError that ended its call. Keys use
+    the item's position because item ids are not checked for uniqueness.
+    """
+    keys = [(planner, pos) for planner in dict.fromkeys(planners) for pos in range(len(corpus))]
+
+    def plan_one(key):
+        planner, pos = key
+        try:
+            return generate_plan(gateway, planner, corpus[pos])
+        except GatewayError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+        return dict(zip(keys, pool.map(plan_one, keys)))
+
+
+def expand_matrix(
+    conditions: Sequence[Condition | str],
+    solvers: Sequence[ModelSpec],
+    planners: Sequence[ModelSpec],
+) -> list[tuple[Condition, ModelSpec, ModelSpec | None]]:
+    """The (condition, solver, planner) cells run for every item, in run order.
+
+    Baselines have no planner, plan_augmented solvers plan for themselves,
+    and cross_model_plan pairs each planner with every other solver.
+    """
+    cells: list[tuple[Condition, ModelSpec, ModelSpec | None]] = []
+    for cond in map(Condition, conditions):
+        if cond in (Condition.DIRECT_COT, Condition.SFT_COT_BASELINE):
+            cells.extend((cond, solver, None) for solver in solvers)
+        elif cond is Condition.PLAN_AUGMENTED:
+            cells.extend((cond, solver, solver) for solver in solvers)
+        else:
+            cells.extend(
+                (cond, solver, planner)
+                for planner in planners
+                for solver in solvers
+                if solver.name != planner.name
+            )
+    return cells
+
+
 @dataclass(frozen=True)
 class MatrixFailure:
     item_id: str
@@ -345,42 +395,36 @@ def run_condition_matrix(
 ) -> MatrixRun:
     """Execute the full (item, condition, solver, planner) cross-product.
 
-    All model traffic goes through the gateway cache, so an interrupted run
-    re-invoked with the same inputs replays from cache without duplicate
-    calls. Within one guided item, Round1 strictly precedes Round2.
+    Round1 runs first, once per (planner, item), and every guided job of
+    that pair solves with the same Plan. All model traffic goes through the
+    gateway cache, so an interrupted run re-invoked with the same inputs
+    replays from cache without duplicate calls.
     """
-    jobs: list[tuple] = []
-    for item in corpus:
-        for cond in conditions:
-            cond = Condition(cond)
-            if cond in (Condition.DIRECT_COT, Condition.SFT_COT_BASELINE):
-                for solver in solvers:
-                    jobs.append((item, cond, solver, None))
-            elif cond == Condition.PLAN_AUGMENTED:
-                for solver in solvers:
-                    jobs.append((item, cond, solver, solver))
-            elif cond == Condition.CROSS_MODEL_PLAN:
-                for planner in planners:
-                    for solver in solvers:
-                        if solver.name != planner.name:
-                            jobs.append((item, cond, solver, planner))
+    cells = expand_matrix(conditions, solvers, planners)
+    plans = generate_plans(
+        gateway, [planner for _, _, planner in cells if planner is not None], corpus, concurrency
+    )
+    jobs = [(pos, *cell) for pos in range(len(corpus)) for cell in cells]
 
     def run_job(job):
-        item, cond, solver, planner = job
-        try:
-            if planner is None:
-                return solve_direct(gateway, solver, item, condition=cond), None
-            plan = generate_plan(gateway, planner, item)
-            return solve_with_plan(gateway, solver, item, plan), None
-        except GatewayError as exc:
-            failure = MatrixFailure(
-                item_id=item.id,
-                condition=cond.value,
-                solver_model=solver.name,
-                planner_model=planner.name if planner else None,
-                error=str(exc),
-            )
-            return None, failure
+        pos, cond, solver, planner = job
+        item = corpus[pos]
+        outcome = None if planner is None else plans[planner, pos]
+        if not isinstance(outcome, GatewayError):
+            try:
+                if planner is None:
+                    return solve_direct(gateway, solver, item, condition=cond), None
+                return solve_with_plan(gateway, solver, item, outcome), None
+            except GatewayError as exc:
+                outcome = exc
+        failure = MatrixFailure(
+            item_id=item.id,
+            condition=cond.value,
+            solver_model=solver.name,
+            planner_model=None if planner is None else planner.name,
+            error=str(outcome),
+        )
+        return None, failure
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         outcomes = list(pool.map(run_job, jobs))

@@ -9,13 +9,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sftgen
 from .arith import PROBE_PROMPT, measure_p_exe
 from .corpora import (
     EmptyInput,
@@ -23,9 +23,18 @@ from .corpora import (
     extract_probes,
     load_gsm8k,
     load_toolbench,
+    step_distribution,
 )
 from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
-from .planflow import MatrixRun, generate_plan, run_condition_matrix, template_hashes
+from .jsonio import atomic_open, read_jsonl, write_json, write_jsonl
+from .planflow import (
+    MatrixRun,
+    Plan,
+    expand_matrix,
+    generate_plans,
+    run_condition_matrix,
+    template_hashes,
+)
 from .scoring import (
     MATH_STEP_BUCKETS,
     TOOL_STEP_BUCKETS,
@@ -130,6 +139,8 @@ class RunConfig:
             raise ConfigError(f"corpus file not found: {self.corpus}")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def planner_specs(self) -> tuple[ModelSpec, ...]:
@@ -141,19 +152,12 @@ class RunConfig:
 
     def resolved_matrix(self) -> list[tuple[str, str, str | None]]:
         """Explicit (condition, solver, planner) tuples this config will run."""
-        out: list[tuple[str, str, str | None]] = []
-        for cond in self.conditions:
-            c = Condition(cond)
-            if c in (Condition.DIRECT_COT, Condition.SFT_COT_BASELINE):
-                out.extend((c.value, m.name, None) for m in self.models)
-            elif c == Condition.PLAN_AUGMENTED:
-                out.extend((c.value, m.name, m.name) for m in self.models)
-            else:
-                for p in self.planners:
-                    out.extend(
-                        (c.value, m.name, p) for m in self.models if m.name != p
-                    )
-        return out
+        return [
+            (cond.value, solver.name, None if planner is None else planner.name)
+            for cond, solver, planner in expand_matrix(
+                self.conditions, self.models, self.planner_specs
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,6 @@ class RunManifest:
         return hashlib.sha256(basis.encode()).hexdigest()
 
     def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "config_hash": self.config_hash,
             "template_hashes": dict(self.template_hashes),
@@ -193,9 +196,7 @@ class RunManifest:
             "created_at": self.created_at,
             "planned": dict(self.planned),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def _file_hash(path: Path) -> str:
@@ -220,51 +221,24 @@ def build_manifest(config: RunConfig, item_count: int) -> RunManifest:
 
 
 def save_records(records: Sequence[EvalRecord], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "item_id": r.item_id,
-                        "condition": r.condition.value,
-                        "score": r.score,
-                        "step_count": r.step_count,
-                        "solver_model": r.solver_model,
-                        "planner_model": r.planner_model,
-                        "response_text": r.response_text,
-                        "plan_text": r.plan_text,
-                        "flags": list(r.flags),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, records))
 
 
 def load_records(path: Path) -> list[EvalRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                EvalRecord(
-                    item_id=obj["item_id"],
-                    condition=Condition(obj["condition"]),
-                    score=obj["score"],
-                    step_count=obj["step_count"],
-                    solver_model=obj["solver_model"],
-                    planner_model=obj.get("planner_model"),
-                    response_text=obj.get("response_text", ""),
-                    plan_text=obj.get("plan_text"),
-                    flags=tuple(obj.get("flags", ())),
-                )
-            )
-    return records
+    return [
+        EvalRecord(
+            item_id=obj["item_id"],
+            condition=Condition(obj["condition"]),
+            score=obj["score"],
+            step_count=obj["step_count"],
+            solver_model=obj["solver_model"],
+            planner_model=obj.get("planner_model"),
+            response_text=obj.get("response_text", ""),
+            plan_text=obj.get("plan_text"),
+            flags=tuple(obj.get("flags", ())),
+        )
+        for _, obj in read_jsonl(path)
+    ]
 
 
 # --- summary and report ----------------------------------------------------
@@ -412,9 +386,6 @@ def emit_report(
     """Write report.md, report.csv, buckets.csv, summary.json, and fit.json
     (when a fit was computed). Percentages print at one decimal."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     lines = ["# Evaluation report", ""]
     if summary.model_rows:
         lines += [
@@ -477,11 +448,11 @@ def emit_report(
         lines.append("")
 
     report_md = out / "report.md"
-    report_md.write_text("\n".join(lines), encoding="utf-8")
-    written.append(report_md)
+    with atomic_open(report_md) as fh:
+        fh.write("\n".join(lines))
 
     report_csv = out / "report.csv"
-    with open(report_csv, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(report_csv) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["item_id", "condition", "score", "step_count", "solver_model", "planner_model"]
@@ -491,10 +462,9 @@ def emit_report(
                 [r.item_id, r.condition.value, r.score, r.step_count, r.solver_model,
                  r.planner_model or ""]
             )
-    written.append(report_csv)
 
     buckets_csv = out / "buckets.csv"
-    with open(buckets_csv, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(buckets_csv) as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver_model", "condition", "bucket", "mean", "count"])
         for (model, cond), table in sorted(summary.buckets.items()):
@@ -502,9 +472,7 @@ def emit_report(
                 writer.writerow(
                     [model, cond, b.label, "" if b.mean is None else b.mean, b.count]
                 )
-    written.append(buckets_csv)
 
-    summary_json = out / "summary.json"
     payload = {
         "task": summary.task,
         "models": {
@@ -534,18 +502,9 @@ def emit_report(
         "fit": summary.fit.to_dict() if summary.fit else None,
         "warnings": list(summary.warnings),
     }
-    with open(summary_json, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-    written.append(summary_json)
-
+    written = [report_md, report_csv, buckets_csv, write_json(out / "summary.json", payload)]
     if summary.fit is not None:
-        fit_json = out / "fit.json"
-        with open(fit_json, "w", encoding="utf-8") as fh:
-            json.dump(summary.fit.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(fit_json)
-
+        written.append(write_json(out / "fit.json", summary.fit.to_dict()))
     return written
 
 
@@ -607,6 +566,8 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         handler = {
             "validate": _cmd_validate,
             "probe": _cmd_probe,
@@ -649,7 +610,6 @@ def _cmd_probe(args) -> int:
     if config.task != "math":
         raise ConfigError("probe requires a math corpus")
     out = _out_dir(config, args)
-    out.mkdir(parents=True, exist_ok=True)
     problems = load_gsm8k(config.corpus)
     build_manifest(config, len(problems)).write(out / "manifest.json")
     extraction = extract_probes(problems)
@@ -657,7 +617,7 @@ def _cmd_probe(args) -> int:
     if not probes:
         raise ConfigError("no usable probes in corpus")
     try:
-        dist = _step_distribution(problems)
+        dist = step_distribution(problems)
     except EmptyInput:
         dist = None
     gateway = _gateway(config, args)
@@ -683,34 +643,49 @@ def _cmd_probe(args) -> int:
         "skipped_expressions": extraction.skipped_count,
         "step_distribution": {str(n): p for n, p in dist.mass.items()} if dist else None,
     }
-    with open(out / "probe_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "probe_summary.json", payload)
     for name, row in sorted(per_model.items()):
         print(f"{name}: p_exe={row['p_exe']} graded={row['graded']} ungraded={row['ungraded']}")
     return EXIT_PARTIAL if ungraded_total else EXIT_OK
 
 
-def _step_distribution(problems) -> StepDistribution:
-    from .corpora import step_distribution
-
-    return step_distribution(problems)
-
-
-def _read_probe_summary(out: Path) -> tuple[dict[str, float], StepDistribution | None]:
-    path = out / "probe_summary.json"
-    if not path.exists():
-        return {}, None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    p_exe = {
-        name: row["p_exe"]
-        for name, row in data.get("models", {}).items()
-        if row.get("p_exe") is not None
-    }
+def _read_probe_summary(
+    out: Path, math_corpus=None
+) -> tuple[dict[str, float], StepDistribution | None]:
+    """p_exe per model and the step distribution that `probe` wrote to
+    `out`. Without a stored distribution, `math_corpus` supplies one."""
+    p_exe: dict[str, float] = {}
     dist = None
-    if data.get("step_distribution"):
-        dist = StepDistribution({int(k): v for k, v in data["step_distribution"].items()})
+    path = out / "probe_summary.json"
+    if path.exists():
+        data = json.loads(path.read_text(encoding="utf-8"))
+        p_exe = {
+            name: row["p_exe"]
+            for name, row in data.get("models", {}).items()
+            if row.get("p_exe") is not None
+        }
+        if data.get("step_distribution"):
+            dist = StepDistribution({int(k): v for k, v in data["step_distribution"].items()})
+    if dist is None and math_corpus is not None:
+        try:
+            dist = step_distribution(math_corpus)
+        except EmptyInput:
+            pass
     return p_exe, dist
+
+
+def _check_resumable(manifest: RunManifest, path: Path) -> None:
+    """Refuse to reuse records that a different config, corpus or template
+    set produced, before the manifest is overwritten."""
+    try:
+        previous = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        previous = None
+    if not isinstance(previous, dict) or previous.get("fingerprint") != manifest.fingerprint():
+        raise ConfigError(
+            f"--resume: {path} does not match this config, corpus and templates; "
+            "rerun without --resume or use another --out"
+        )
 
 
 def _cmd_eval(args, task: str) -> int:
@@ -718,13 +693,16 @@ def _cmd_eval(args, task: str) -> int:
     if config.task != task:
         raise ConfigError(f"config task is {config.task!r}, expected {task!r}")
     out = _out_dir(config, args)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(config)
-    build_manifest(config, len(corpus)).write(out / "manifest.json")
-
+    manifest = build_manifest(config, len(corpus))
     records_path = out / "records.jsonl"
+    resume = args.resume and records_path.exists()
+    if resume:
+        _check_resumable(manifest, out / "manifest.json")
+    manifest.write(out / "manifest.json")
+
     failures = ()
-    if args.resume and records_path.exists():
+    if resume:
         records: Sequence[EvalRecord] = load_records(records_path)
     else:
         gateway = _gateway(config, args)
@@ -740,27 +718,9 @@ def _cmd_eval(args, task: str) -> int:
         failures = run.failures
         save_records(records, records_path)
         if failures:
-            with open(out / "failures.jsonl", "w", encoding="utf-8") as fh:
-                for f in failures:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "item_id": f.item_id,
-                                "condition": f.condition,
-                                "solver_model": f.solver_model,
-                                "planner_model": f.planner_model,
-                                "error": f.error,
-                            }
-                        )
-                        + "\n"
-                    )
+            write_jsonl(out / "failures.jsonl", map(asdict, failures))
 
-    p_exe_map, dist = _read_probe_summary(out)
-    if task == "math" and dist is None:
-        try:
-            dist = _step_distribution(corpus)
-        except EmptyInput:
-            dist = None
+    p_exe_map, dist = _read_probe_summary(out, corpus if task == "math" else None)
     seed = args.seed if args.seed is not None else config.seed
     summary = summarize(records, task, p_exe_by_model=p_exe_map, dist=dist, seed=seed)
     emit_report(records, summary, out)
@@ -768,37 +728,25 @@ def _cmd_eval(args, task: str) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+def _report_plan_failures(results: Mapping, corpus) -> int:
+    """Print one stderr line per failed Round1 call; return the count."""
+    failed = 0
+    for (planner, pos), plan in results.items():
+        if isinstance(plan, GatewayError):
+            failed += 1
+            print(f"plan failed for {corpus[pos].id} ({planner.name}): {plan}", file=sys.stderr)
+    return failed
+
+
 def _cmd_plan(args) -> int:
     config = _require_config(args)
     out = _out_dir(config, args)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(config)
     build_manifest(config, len(corpus)).write(out / "manifest.json")
-    gateway = _gateway(config, args)
     planners = config.planner_specs or config.models
-    failures = 0
-    with open(out / "plans.jsonl", "w", encoding="utf-8") as fh:
-        for planner in planners:
-            for item in corpus:
-                try:
-                    plan = generate_plan(gateway, planner, item)
-                except GatewayError as exc:
-                    failures += 1
-                    print(f"plan failed for {item.id} ({planner.name}): {exc}", file=sys.stderr)
-                    continue
-                fh.write(
-                    json.dumps(
-                        {
-                            "item_id": plan.item_id,
-                            "generator_model": plan.generator_model,
-                            "text": plan.text,
-                            "lint_flags": list(plan.lint_flags),
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-    return EXIT_PARTIAL if failures else EXIT_OK
+    results = generate_plans(_gateway(config, args), planners, corpus, config.concurrency)
+    write_jsonl(out / "plans.jsonl", (asdict(p) for p in results.values() if isinstance(p, Plan)))
+    return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -821,39 +769,25 @@ def _cmd_fit(args) -> int:
     print(f"linear: y = {fit.b0:.6g} + {fit.b1:.6g}x   sse={fit.sse_linear:.6g} r2={fit.r2_linear:.4f}")
     print(f"power fit closer: {str(fit.sse_power < fit.sse_linear).lower()}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "fit.json", "w", encoding="utf-8") as fh:
-            json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.out) / "fit.json", fit.to_dict())
     return EXIT_OK
 
 
-def _load_plans_file(path: Path) -> dict:
-    from .planflow import Plan
-
-    plans = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            plans[obj["item_id"]] = Plan(
-                item_id=obj["item_id"],
-                generator_model=obj["generator_model"],
-                text=obj["text"],
-                lint_flags=tuple(obj.get("lint_flags", ())),
-            )
-    return plans
+def _load_plans_file(path: Path) -> dict[str, Plan]:
+    return {
+        obj["item_id"]: Plan(
+            item_id=obj["item_id"],
+            generator_model=obj["generator_model"],
+            text=obj["text"],
+            lint_flags=tuple(obj.get("lint_flags", ())),
+        )
+        for _, obj in read_jsonl(path)
+    }
 
 
 def _cmd_build_sft(args) -> int:
-    from .sftgen import write_sft_outputs
-
     config = _require_config(args)
     out = _out_dir(config, args)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(config)
     build_manifest(config, len(corpus)).write(out / "manifest.json")
     mode = args.mode or config.sft_mode
@@ -867,13 +801,17 @@ def _cmd_build_sft(args) -> int:
         else:
             if teacher is None:
                 raise ConfigError("build-sft needs teacher_model in config or --plans")
-            by_name = {m.name: m for m in config.models}
-            gateway = _gateway(config, args)
-            for item in corpus:
-                plans[item.id] = generate_plan(gateway, by_name[teacher], item)
-    corpus_path, meta_path = write_sft_outputs(
-        corpus, plans, mode=mode, out_dir=out, teacher_model=teacher or ""
-    )
+            spec = next(m for m in config.models if m.name == teacher)
+            results = generate_plans(_gateway(config, args), [spec], corpus, config.concurrency)
+            if _report_plan_failures(results, corpus):
+                return EXIT_PARTIAL
+            plans = {corpus[pos].id: plan for (_, pos), plan in results.items()}
+    try:
+        corpus_path, meta_path = sftgen.write_sft_outputs(
+            corpus, plans, mode=mode, out_dir=out, teacher_model=teacher or ""
+        )
+    except (sftgen.MissingPlan, sftgen.AnswerLeak) as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"wrote {corpus_path} and {meta_path}")
     return EXIT_OK
 
@@ -881,32 +819,21 @@ def _cmd_build_sft(args) -> int:
 def _cmd_report(args) -> int:
     if args.records is None and args.config is None:
         raise ConfigError("report needs --records or --config")
-    if args.records is not None:
-        records_path = args.records
+    config = None if args.records is not None else _require_config(args)
+    if config is None:
+        records_path = Path(args.records)
         out = Path(args.out) if args.out else records_path.parent
-        task = args.task
-        seed = args.seed if args.seed is not None else 0
-        dist = None
-        p_exe_map = {}
+        task, seed = args.task, 0
     else:
-        config = _require_config(args)
         out = _out_dir(config, args)
         records_path = out / "records.jsonl"
-        task = config.task
-        seed = args.seed if args.seed is not None else config.seed
-        p_exe_map, dist = _read_probe_summary(out)
-        if task == "math" and dist is None:
-            try:
-                dist = _step_distribution(_load_corpus(config))
-            except (EmptyInput, ConfigError):
-                dist = None
-    if not Path(records_path).exists():
+        task, seed = config.task, config.seed
+    if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
-    records = load_records(Path(records_path))
-    if args.records is not None:
-        p_exe_map2, dist2 = _read_probe_summary(Path(records_path).parent)
-        p_exe_map = p_exe_map or p_exe_map2
-        dist = dist or dist2
+    records = load_records(records_path)
+    math_corpus = _load_corpus(config) if config is not None and task == "math" else None
+    p_exe_map, dist = _read_probe_summary(records_path.parent, math_corpus)
+    seed = args.seed if args.seed is not None else seed
     summary = summarize(records, task, p_exe_by_model=p_exe_map, dist=dist, seed=seed)
     emit_report(records, summary, out)
     print(f"report for {len(records)} records -> {out}")

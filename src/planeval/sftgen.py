@@ -4,12 +4,12 @@ fine-tune itself is a downstream concern and only echoed as metadata."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpora import MathProblem, ToolTask
+from .jsonio import read_jsonl, write_json, write_jsonl
 from .planflow import (
     Plan,
     _direct_prompt,
@@ -135,44 +135,17 @@ def build_sft_corpus(
 
 def serialize_sft(records: Sequence[SftRecord], path: str | Path) -> Path:
     """Write records as JSON Lines in deterministic (source_id, kind) order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: (r.source_id, r.kind))
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in ordered:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": r.kind,
-                        "prompt": r.prompt,
-                        "target": r.target,
-                        "source_id": r.source_id,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    return path
+    return write_jsonl(path, (asdict(r) for r in ordered))
 
 
 def load_sft(path: str | Path) -> list[SftRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                SftRecord(
-                    kind=obj["kind"],
-                    prompt=obj["prompt"],
-                    target=obj["target"],
-                    source_id=obj["source_id"],
-                )
-            )
-    return records
+    return [
+        SftRecord(
+            kind=obj["kind"], prompt=obj["prompt"], target=obj["target"], source_id=obj["source_id"]
+        )
+        for _, obj in read_jsonl(path)
+    ]
 
 
 def write_sft_outputs(
@@ -184,7 +157,6 @@ def write_sft_outputs(
 ) -> tuple[Path, Path]:
     """Emit `sft_corpus.jsonl` plus the `sft_meta.json` sidecar."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = build_sft_corpus(corpus, plans, mode=mode)
     corpus_path = serialize_sft(records, out_dir / "sft_corpus.jsonl")
     counts = {kind: sum(1 for r in records if r.kind == kind) for kind in KINDS}
@@ -195,8 +167,4 @@ def write_sft_outputs(
         "counts": {"items": len(corpus), **counts},
         "training": TRAINING_METADATA,
     }
-    meta_path = out_dir / "sft_meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return corpus_path, meta_path
+    return corpus_path, write_json(out_dir / "sft_meta.json", meta)

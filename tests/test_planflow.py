@@ -12,6 +12,7 @@ from helpers import (
     tool_transcript_entries,
 )
 from planeval.corpora import MathProblem, ToolCall
+from planeval.gateway import Gateway, MockTransport, ModelSpec, cache_key, user_message
 from planeval.planflow import (
     Plan,
     RenderError,
@@ -26,6 +27,7 @@ from planeval.planflow import (
     solve_direct,
     solve_with_plan,
     template_hashes,
+    _direct_prompt,
     _guided_prompt,
     _plan_prompt,
 )
@@ -337,6 +339,52 @@ def test_matrix_records_sorted_and_condition_partition(math_setup, model_spec):
     keys = [(r.item_id, r.condition.value, r.solver_model) for r in run.records]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_matrix_plans_once_per_planner_and_item(tmp_path, monkeypatch):
+    problems = build_math_corpus(tmp_path / "c.jsonl", count=4)
+    planners = [ModelSpec(name="planner-a"), ModelSpec(name="planner-b")]
+    solvers = [ModelSpec(name="solver-x"), ModelSpec(name="solver-y"), *planners]
+    by_digest, by_prompt = {}, {}
+    for p in problems:
+        by_prompt[_direct_prompt(p)] = "The final answer is: 0"
+        for model in solvers:
+            # plan texts differ per planner, so no two guided jobs share a digest
+            text = f"Plan by {model.name}: count the start, then walk each phase."
+            request = Gateway.build_request(model, [user_message(_plan_prompt(p))])
+            by_digest[cache_key(request)] = text
+            by_prompt[_guided_prompt(p, text)] = "The final answer is: 1"
+    transport = MockTransport(by_digest, by_prompt)
+    gateway = Gateway(tmp_path / "cache", transport=transport)
+    digests = []
+    complete = gateway.complete
+
+    def counting_complete(model, messages):
+        exchange = complete(model, messages)
+        digests.append(exchange.digest)
+        return exchange
+
+    monkeypatch.setattr(gateway, "complete", counting_complete)
+    run = run_condition_matrix(
+        gateway,
+        solvers,
+        planners,
+        problems,
+        ["direct_cot", "plan_augmented", "cross_model_plan"],
+        concurrency=8,
+    )
+    assert not run.failures
+    # per item: 4 direct, 4 self-guided and 6 cross-model solves
+    assert len(run.records) == 14 * len(problems)
+    assert len(digests) == len(set(digests)) == transport.calls
+    plan_texts = {}
+    for r in run.records:
+        if r.planner_model is not None:
+            plan_texts.setdefault((r.item_id, r.planner_model), set()).add(r.plan_text)
+    assert all(
+        texts == {f"Plan by {planner}: count the start, then walk each phase."}
+        for (_, planner), texts in plan_texts.items()
+    )
 
 
 # --- tool task solving

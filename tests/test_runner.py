@@ -8,16 +8,21 @@ import pytest
 from helpers import (
     build_math_corpus,
     build_tool_corpus,
+    gold_number,
     math_transcript_entries,
     tool_transcript_entries,
 )
-from planeval.corpora import StepDistribution
+import planeval.runner as runner_module
+import planeval.sftgen as sftgen_module
+from planeval.arith import PROBE_PROMPT
+from planeval.corpora import StepDistribution, extract_probes
 from planeval.gateway import write_transcript
 from planeval.planflow import _plan_prompt
 from planeval.runner import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PARTIAL,
     ModelRow,
     RunConfig,
     Summary,
@@ -124,6 +129,20 @@ def test_config_rejects_missing_corpus(tmp_path):
     path = write_config(tmp_path, tmp_path / "absent.jsonl")
     with pytest.raises(ConfigError):
         RunConfig.load(path)
+
+
+def test_negative_seed_rejected_before_any_model_call(math_run):
+    _, config, transcript, tmp_path = math_run
+    argv = ["eval-math", "--mock", str(transcript)]
+    assert cli_dispatch(argv + ["--config", str(config), "--seed", "-1"]) == EXIT_CONFIG
+    negative = write_config(
+        tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"], seed=-1
+    )
+    with pytest.raises(ConfigError):
+        RunConfig.load(negative)
+    assert cli_dispatch(argv + ["--config", str(negative)]) == EXIT_CONFIG
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolved_matrix_shapes(tmp_path):
@@ -234,6 +253,16 @@ def test_cli_eval_resume_reuses_records(math_run):
     # resume must not need the transcript at all
     assert cli_dispatch(["eval-math", "--config", str(config), "--resume"]) == EXIT_OK
     assert (tmp_path / "out" / "records.jsonl").read_bytes() == records_before
+
+
+def test_cli_eval_resume_refuses_changed_corpus(math_run):
+    _, config, transcript, tmp_path = math_run
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {n: (out / n).read_bytes() for n in ("records.jsonl", "manifest.json")}
+    build_math_corpus(tmp_path / "corpus.jsonl", count=3)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--resume"]) == EXIT_CONFIG
+    assert {n: (out / n).read_bytes() for n in before} == before
 
 
 def test_cli_probe_then_eval_math_merges_bottleneck_columns(math_run):
@@ -350,6 +379,99 @@ def test_cli_build_sft_with_mock_teacher(tmp_path):
     meta = json.loads((tmp_path / "out" / "sft_meta.json").read_text())
     assert meta["teacher_model"] == "mock-model"
     assert meta["counts"]["plan_target"] == 6
+
+
+def _teacher_plan(problem) -> str:
+    return f"To solve this question, first we should study crew {problem.id}, then total the phases."
+
+
+def test_cli_build_sft_teacher_plan_failures_exit_1_without_sft_files(tmp_path, capsys):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
+    entries = [(_plan_prompt(p), _teacher_plan(p)) for p in problems[:3]]
+    transcript = write_transcript(tmp_path / "t.jsonl", entries)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
+    code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
+    assert code == EXIT_PARTIAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"plan failed for {problems[3].id} (mock-model): ")
+    assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+    assert not (tmp_path / "out" / "sft_meta.json").exists()
+
+
+def test_cli_build_sft_plans_file_missing_items_exits_2(tmp_path, capsys):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(
+        "".join(
+            json.dumps({"item_id": p.id, "generator_model": "teacher", "text": _teacher_plan(p)})
+            + "\n"
+            for p in problems[:2]
+        )
+    )
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl")
+    code = cli_dispatch(["build-sft", "--config", str(config), "--plans", str(plans)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: no plan for items: {[p.id for p in problems[2:]]}"]
+    assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+
+
+def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=3)
+    leaky = problems[1]
+    entries = [(_plan_prompt(p), _teacher_plan(p)) for p in problems if p is not leaky]
+    entries.append((_plan_prompt(leaky), f"Add up the phases to reach {gold_number(leaky)}."))
+    transcript = write_transcript(tmp_path / "t.jsonl", entries)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
+    code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: gold answer leaked into plan targets: {[leaky.id]}"]
+    assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+
+
+def test_cli_looks_up_benchmark_hook_points_at_call_time(tmp_path, monkeypatch):
+    """The pipeline benchmark counts transports and times writers by
+    patching these module attributes; the CLI must resolve them per call."""
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
+    probe_entries = [
+        (PROBE_PROMPT.format(expression=p.expression), str(p.exact_value))
+        for p in extract_probes(problems).probes
+    ]
+    transcript = write_transcript(
+        tmp_path / "t.jsonl", math_transcript_entries(problems) + probe_entries
+    )
+    config = write_config(
+        tmp_path,
+        tmp_path / "corpus.jsonl",
+        conditions=["direct_cot", "plan_augmented"],
+        teacher_model="mock-model",
+    )
+    made = []
+
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
+    used = []
+    for module, name in ((sftgen_module, "write_sft_outputs"), (runner_module, "save_records")):
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            used.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for command in ("probe", "eval-math", "build-sft"):
+        argv = [command, "--config", str(config), "--mock", str(transcript)]
+        assert cli_dispatch(argv) == EXIT_OK, command
+    assert used == ["save_records", "write_sft_outputs"]
+    assert len(made) == 3
+    assert sum(t.calls for t in made) > 0
 
 
 def test_cli_report_regenerates_identical_report(math_run):
