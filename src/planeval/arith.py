@@ -4,7 +4,6 @@ extraction from model text, and the single-step probe harness."""
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -232,7 +231,6 @@ def measure_p_exe(
     model: ModelSpec,
     probes: Sequence,
     out_path: str | Path | None = None,
-    concurrency: int = 8,
 ) -> ProbeRun:
     """Prompt the model with each probe expression and grade against the
     exact evaluator. Results keep probe order; aggregation is order-free."""
@@ -241,13 +239,9 @@ def measure_p_exe(
 
     def run_one(probe):
         prompt = PROBE_PROMPT.format(expression=probe.expression)
-        try:
-            exchange = gateway.complete(model, [user_message(prompt)])
-        except GatewayError:
-            return probe, None
-        text = exchange.response.text
+        text = gateway.complete(model, [user_message(prompt)]).response.text
         parsed = parse_model_number(text)
-        return probe, ProbeResult(
+        return ProbeResult(
             expression=probe.expression,
             expected=probe.exact_value,
             model_text=text,
@@ -255,11 +249,11 @@ def measure_p_exe(
             correct=grade_number(parsed, probe.exact_value),
         )
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        outcomes = list(pool.map(run_one, probes))
-
-    results = tuple(res for _, res in outcomes if res is not None)
-    ungraded = tuple(probe.expression for probe, res in outcomes if res is None)
+    outcomes = gateway.map(run_one, probes)
+    results = tuple(res for res in outcomes if isinstance(res, ProbeResult))
+    ungraded = tuple(
+        probe.expression for probe, res in zip(probes, outcomes) if isinstance(res, GatewayError)
+    )
     if out_path is not None:
         write_jsonl(
             out_path,

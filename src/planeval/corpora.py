@@ -215,11 +215,9 @@ def _verify_annotation(expr: str, annotated: Fraction) -> str | None:
         value = arith.eval_expr(arith.normalize_expression(expr))
     except (ValueError, ZeroDivisionError):
         return f"annotation_unparsed:{expr.strip()}"
-    if annotated == 0:
-        ok = value == 0
-    else:
-        ok = abs(value - annotated) <= arith.REL_TOLERANCE * abs(annotated)
-    return None if ok else f"annotation_mismatch:{expr.strip()}"
+    if abs(value - annotated) <= arith.REL_TOLERANCE * abs(annotated):
+        return None
+    return f"annotation_mismatch:{expr.strip()}"
 
 
 def extract_probes(problems: Sequence[MathProblem]) -> ProbeExtraction:

@@ -1,6 +1,7 @@
 """Chat-completion gateway: OpenAI-compatible wire client with deterministic
-content-addressed response caching, bounded concurrency, retry with full-jitter
-backoff, and a scripted offline mock transport."""
+content-addressed response caching, one worker pool that fans out model calls
+and bounds them in flight, retry with full-jitter backoff, and a scripted
+offline mock transport."""
 
 from __future__ import annotations
 
@@ -10,13 +11,14 @@ import random
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
-from .jsonio import atomic_open, json_line, read_jsonl, write_jsonl
+from .jsonio import FormatError, atomic_open, json_line, read_jsonl, write_jsonl
 
 VALID_ROLES = ("system", "user", "assistant")
 DEFAULT_MAX_IN_FLIGHT = 8
@@ -210,14 +212,14 @@ class MockTransport:
         by_digest: dict[str, str] = {}
         by_prompt: dict[str, str] = {}
         for line_no, obj in read_jsonl(path):
-            if "response_text" not in obj:
-                raise ValueError(f"transcript line {line_no}: missing response_text")
+            if not isinstance(obj, dict) or "response_text" not in obj:
+                raise FormatError(f"no response_text in transcript {path}", line_no)
             if "prompt_digest" in obj:
                 by_digest[obj["prompt_digest"]] = obj["response_text"]
             elif "prompt_text" in obj:
                 by_prompt[obj["prompt_text"]] = obj["response_text"]
             else:
-                raise ValueError(f"transcript line {line_no}: need prompt_digest or prompt_text")
+                raise FormatError(f"no prompt_digest or prompt_text in {path}", line_no)
         return cls(by_digest, by_prompt)
 
     @property
@@ -251,7 +253,9 @@ class Gateway:
     `<cache_dir>/<first 2 hex>/<digest>.json`; writes go to a temp file and
     are renamed into place, so concurrent workers never see torn entries.
     Identical digests imply identical requests, which makes last-writer-wins
-    safe. In-flight requests are bounded by a semaphore.
+    safe. `map` fans calls out on `max_in_flight` worker threads; every
+    threaded caller in the package goes through it, so its pool is the one
+    bound on requests in flight.
     """
 
     def __init__(
@@ -266,7 +270,7 @@ class Gateway:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.transport = transport if transport is not None else HttpTransport()
         self.retry = retry
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self.max_in_flight = max_in_flight
         self._sleep = sleep
 
     def complete(self, model: ModelSpec, messages: Sequence[Message | tuple[str, str]]) -> ChatExchange:
@@ -279,10 +283,23 @@ class Gateway:
         cached = self._read_cache(digest, request)
         if cached is not None:
             return cached
-        with self._slots:
-            response, retries = self._send_with_retry(model, request)
+        response, retries = self._send_with_retry(model, request)
         self._write_cache(digest, request, response, retries)
         return ChatExchange(request, response, digest, retry_count=retries)
+
+    def map(self, fn: Callable, items: Iterable) -> list:
+        """`fn(item)` for every item on `max_in_flight` worker threads, in item
+        order. A GatewayError that `fn` raises becomes that item's result;
+        any other exception propagates."""
+
+        def call(item):
+            try:
+                return fn(item)
+            except GatewayError as exc:
+                return exc
+
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+            return list(pool.map(call, items))
 
     @staticmethod
     def build_request(model: ModelSpec, messages: Sequence[Message | tuple[str, str]]) -> ChatRequest:
@@ -321,11 +338,8 @@ class Gateway:
         raise last_exc  # pragma: no cover - loop always raises or returns
 
     def _read_cache(self, digest: str, request: ChatRequest) -> ChatExchange | None:
-        path = self.cache_path(digest)
-        if not path.exists():
-            return None
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self.cache_path(digest), encoding="utf-8") as fh:
                 entry = json.load(fh)
             resp = entry["response"]
             response = ChatResponse(
@@ -335,7 +349,7 @@ class Gateway:
             )
             retries = int(entry.get("retry_count", 0))
         except (ValueError, KeyError, OSError):
-            return None  # corrupt or unreadable entry: treat as a miss
+            return None  # missing, corrupt or unreadable entry: treat as a miss
         return ChatExchange(request, response, digest, retry_count=retries, cache_hit=True)
 
     def _write_cache(

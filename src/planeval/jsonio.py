@@ -73,5 +73,5 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
+                raise FormatError(f"invalid JSON in {path} ({exc.msg})", line_no) from exc
             yield line_no, obj

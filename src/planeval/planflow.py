@@ -8,7 +8,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -320,7 +319,6 @@ def generate_plans(
     gateway: Gateway,
     planners: Sequence[ModelSpec],
     corpus: Sequence[MathProblem | ToolTask],
-    concurrency: int = 8,
 ) -> dict[tuple[ModelSpec, int], Plan | GatewayError]:
     """Round1 once per (planner, item position), in planner-major, item order.
 
@@ -328,16 +326,8 @@ def generate_plans(
     the item's position because item ids are not checked for uniqueness.
     """
     keys = [(planner, pos) for planner in dict.fromkeys(planners) for pos in range(len(corpus))]
-
-    def plan_one(key):
-        planner, pos = key
-        try:
-            return generate_plan(gateway, planner, corpus[pos])
-        except GatewayError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        return dict(zip(keys, pool.map(plan_one, keys)))
+    plans = gateway.map(lambda key: generate_plan(gateway, key[0], corpus[key[1]]), keys)
+    return dict(zip(keys, plans))
 
 
 def expand_matrix(
@@ -391,7 +381,6 @@ def run_condition_matrix(
     planners: Sequence[ModelSpec],
     corpus: Sequence[MathProblem | ToolTask],
     conditions: Sequence[Condition | str],
-    concurrency: int = 8,
 ) -> MatrixRun:
     """Execute the full (item, condition, solver, planner) cross-product.
 
@@ -402,36 +391,33 @@ def run_condition_matrix(
     """
     cells = expand_matrix(conditions, solvers, planners)
     plans = generate_plans(
-        gateway, [planner for _, _, planner in cells if planner is not None], corpus, concurrency
+        gateway, [planner for _, _, planner in cells if planner is not None], corpus
     )
     jobs = [(pos, *cell) for pos in range(len(corpus)) for cell in cells]
 
     def run_job(job):
         pos, cond, solver, planner = job
-        item = corpus[pos]
-        outcome = None if planner is None else plans[planner, pos]
-        if not isinstance(outcome, GatewayError):
-            try:
-                if planner is None:
-                    return solve_direct(gateway, solver, item, condition=cond), None
-                return solve_with_plan(gateway, solver, item, outcome), None
-            except GatewayError as exc:
-                outcome = exc
-        failure = MatrixFailure(
-            item_id=item.id,
+        if planner is None:
+            return solve_direct(gateway, solver, corpus[pos], condition=cond)
+        plan = plans[planner, pos]
+        if isinstance(plan, GatewayError):
+            return plan
+        return solve_with_plan(gateway, solver, corpus[pos], plan)
+
+    outcomes = gateway.map(run_job, jobs)
+    records = sorted(
+        (rec for rec in outcomes if isinstance(rec, EvalRecord)),
+        key=lambda r: (r.item_id, r.condition.value, r.solver_model, r.planner_model or ""),
+    )
+    failures = tuple(
+        MatrixFailure(
+            item_id=corpus[pos].id,
             condition=cond.value,
             solver_model=solver.name,
             planner_model=None if planner is None else planner.name,
             error=str(outcome),
         )
-        return None, failure
-
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        outcomes = list(pool.map(run_job, jobs))
-
-    records = sorted(
-        (rec for rec, _ in outcomes if rec is not None),
-        key=lambda r: (r.item_id, r.condition.value, r.solver_model, r.planner_model or ""),
+        for (pos, cond, solver, planner), outcome in zip(jobs, outcomes)
+        if isinstance(outcome, GatewayError)
     )
-    failures = tuple(f for _, f in outcomes if f is not None)
     return MatrixRun(records=tuple(records), failures=failures)

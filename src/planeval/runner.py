@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import __version__, sftgen
 from .arith import PROBE_PROMPT, measure_p_exe
 from .corpora import (
     EmptyInput,
+    ParseError,
     StepDistribution,
     extract_probes,
     load_gsm8k,
@@ -26,7 +27,7 @@ from .corpora import (
     step_distribution,
 )
 from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
-from .jsonio import atomic_open, read_jsonl, write_json, write_jsonl
+from .jsonio import FormatError, atomic_open, read_jsonl, write_json, write_jsonl
 from .planflow import (
     MatrixRun,
     Plan,
@@ -224,21 +225,32 @@ def save_records(records: Sequence[EvalRecord], path: Path) -> None:
     write_jsonl(path, map(asdict, records))
 
 
+def _rows(path: Path, kind: str, build) -> Iterator:
+    """`build(obj)` for each row of a JSONL file; a row that `build` rejects
+    raises FormatError with its line number."""
+    for line_no, obj in read_jsonl(path):
+        try:
+            yield build(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad {kind} row in {path}: {exc!r}", line_no) from exc
+
+
+def _record(obj) -> EvalRecord:
+    return EvalRecord(
+        item_id=obj["item_id"],
+        condition=Condition(obj["condition"]),
+        score=obj["score"],
+        step_count=obj["step_count"],
+        solver_model=obj["solver_model"],
+        planner_model=obj.get("planner_model"),
+        response_text=obj.get("response_text", ""),
+        plan_text=obj.get("plan_text"),
+        flags=tuple(obj.get("flags", ())),
+    )
+
+
 def load_records(path: Path) -> list[EvalRecord]:
-    return [
-        EvalRecord(
-            item_id=obj["item_id"],
-            condition=Condition(obj["condition"]),
-            score=obj["score"],
-            step_count=obj["step_count"],
-            solver_model=obj["solver_model"],
-            planner_model=obj.get("planner_model"),
-            response_text=obj.get("response_text", ""),
-            plan_text=obj.get("plan_text"),
-            flags=tuple(obj.get("flags", ())),
-        )
-        for _, obj in read_jsonl(path)
-    ]
+    return list(_rows(path, "record", _record))
 
 
 # --- summary and report ----------------------------------------------------
@@ -349,7 +361,7 @@ def summarize(
         for row in rows
         if row.exe_acc and row.acc_plan and row.exe_acc > 0 and row.acc_plan > 0
     ]
-    if len(fit_points) >= 3:
+    if len(fit_points) >= 3 and len({x for x, _ in fit_points}) > 1:
         fit = fit_power_and_linear(fit_points)
 
     return Summary(
@@ -547,7 +559,10 @@ def _require_config(args) -> RunConfig:
 
 
 def _gateway(config: RunConfig, args) -> Gateway:
-    transport = MockTransport.load(args.mock) if args.mock else HttpTransport()
+    try:
+        transport = MockTransport.load(args.mock) if args.mock else HttpTransport()
+    except OSError as exc:
+        raise ConfigError(f"cannot read mock transcript: {exc}") from exc
     return Gateway(
         cache_dir=config.cache_dir, transport=transport, max_in_flight=config.concurrency
     )
@@ -559,7 +574,7 @@ def _out_dir(config: RunConfig, args) -> Path:
 
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv and run one subcommand. Exit codes: 0 success, 1 graded
-    with failures, 2 configuration or usage error."""
+    with failures, 2 configuration, usage or input-file error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -579,7 +594,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
             "report": _cmd_report,
         }[args.command]
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, FormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -624,13 +639,7 @@ def _cmd_probe(args) -> int:
     per_model: dict[str, dict] = {}
     ungraded_total = 0
     for model in config.models:
-        run = measure_p_exe(
-            gateway,
-            model,
-            probes,
-            out_path=out / f"probes_{model.name}.jsonl",
-            concurrency=config.concurrency,
-        )
+        run = measure_p_exe(gateway, model, probes, out_path=out / f"probes_{model.name}.jsonl")
         ungraded_total += len(run.ungraded)
         per_model[model.name] = {
             "p_exe": run.p_exe if run.results else None,
@@ -707,12 +716,7 @@ def _cmd_eval(args, task: str) -> int:
     else:
         gateway = _gateway(config, args)
         run: MatrixRun = run_condition_matrix(
-            gateway,
-            config.models,
-            config.planner_specs,
-            corpus,
-            config.conditions,
-            concurrency=config.concurrency,
+            gateway, config.models, config.planner_specs, corpus, config.conditions
         )
         records = run.records
         failures = run.failures
@@ -744,7 +748,7 @@ def _cmd_plan(args) -> int:
     corpus = _load_corpus(config)
     build_manifest(config, len(corpus)).write(out / "manifest.json")
     planners = config.planner_specs or config.models
-    results = generate_plans(_gateway(config, args), planners, corpus, config.concurrency)
+    results = generate_plans(_gateway(config, args), planners, corpus)
     write_jsonl(out / "plans.jsonl", (asdict(p) for p in results.values() if isinstance(p, Plan)))
     return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
 
@@ -773,16 +777,20 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _plan(obj) -> Plan:
+    return Plan(
+        item_id=obj["item_id"],
+        generator_model=obj["generator_model"],
+        text=obj["text"],
+        lint_flags=tuple(obj.get("lint_flags", ())),
+    )
+
+
 def _load_plans_file(path: Path) -> dict[str, Plan]:
-    return {
-        obj["item_id"]: Plan(
-            item_id=obj["item_id"],
-            generator_model=obj["generator_model"],
-            text=obj["text"],
-            lint_flags=tuple(obj.get("lint_flags", ())),
-        )
-        for _, obj in read_jsonl(path)
-    }
+    try:
+        return {plan.item_id: plan for plan in _rows(path, "plan", _plan)}
+    except OSError as exc:
+        raise ConfigError(f"cannot read plans file: {exc}") from exc
 
 
 def _cmd_build_sft(args) -> int:
@@ -802,7 +810,7 @@ def _cmd_build_sft(args) -> int:
             if teacher is None:
                 raise ConfigError("build-sft needs teacher_model in config or --plans")
             spec = next(m for m in config.models if m.name == teacher)
-            results = generate_plans(_gateway(config, args), [spec], corpus, config.concurrency)
+            results = generate_plans(_gateway(config, args), [spec], corpus)
             if _report_plan_failures(results, corpus):
                 return EXIT_PARTIAL
             plans = {corpus[pos].id: plan for (_, pos), plan in results.items()}

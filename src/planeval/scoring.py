@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arith import parse_model_number
+from .arith import REL_TOLERANCE, parse_model_number
 from .corpora import StepDistribution, ToolCall
 
 MATH_STEP_BUCKETS = (2, 3, 4, 5, 6)
@@ -115,9 +115,7 @@ def check_math_answer(response: str, gold) -> bool:
     if parsed is None:
         return False
     expected = _as_fraction(gold)
-    if expected == 0:
-        return parsed == 0
-    return abs(parsed - expected) <= Fraction(1, 10**6) * abs(expected)
+    return abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
 
 
 def exe_acc(p_exe: float, dist: StepDistribution) -> float:

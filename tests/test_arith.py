@@ -206,18 +206,23 @@ def _probes(n):
     ]
 
 
-def _probe_gateway(tmp_path, probes, answer_for):
+def _probe_gateway(tmp_path, probes, answer_for, max_in_flight=8):
     entries = {
         PROBE_PROMPT.format(expression=p.expression): answer_for(p) for p in probes
     }
     transport = MockTransport(by_prompt=entries)
-    return Gateway(tmp_path / "cache", transport=transport, retry=RetryPolicy(base_delay=0))
+    return Gateway(
+        tmp_path / "cache",
+        transport=transport,
+        retry=RetryPolicy(base_delay=0),
+        max_in_flight=max_in_flight,
+    )
 
 
 def test_p_exe_all_correct(tmp_path, model_spec):
     probes = _probes(40)
-    gw = _probe_gateway(tmp_path, probes, lambda p: str(p.exact_value))
-    run = measure_p_exe(gw, model_spec, probes, concurrency=4)
+    gw = _probe_gateway(tmp_path, probes, lambda p: str(p.exact_value), max_in_flight=4)
+    run = measure_p_exe(gw, model_spec, probes)
     assert run.p_exe == 1.0
     assert not run.ungraded
 
@@ -229,8 +234,9 @@ def test_p_exe_counts_fraction_correct(tmp_path, model_spec):
         tmp_path,
         probes,
         lambda p: "999999" if p.expression in wrong else str(p.exact_value),
+        max_in_flight=8,
     )
-    run = measure_p_exe(gw, model_spec, probes, concurrency=8)
+    run = measure_p_exe(gw, model_spec, probes)
     assert run.p_exe == pytest.approx(0.861)
 
 

@@ -104,6 +104,19 @@ def test_annotation_verification_within_relative_tolerance(tmp_path):
     assert not any(f.startswith("annotation_mismatch") for f in item.flags)
 
 
+def test_annotation_verification_of_zero_results(tmp_path):
+    path = _write(
+        tmp_path / "m.jsonl",
+        [
+            {"question": "q", "answer": "<<3-3=0>>\n#### 0"},
+            {"question": "q", "answer": "<<3-2=0>>\n#### 0"},
+        ],
+    )
+    exact, off = load_gsm8k(path)
+    assert not any(f.startswith("annotation_mismatch") for f in exact.flags)
+    assert "annotation_mismatch:3-2" in off.flags
+
+
 def test_load_is_idempotent_and_order_preserving(tmp_path):
     problems = build_math_corpus(tmp_path / "m.jsonl", count=8)
     again = load_gsm8k(tmp_path / "m.jsonl")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -11,7 +13,9 @@ from hypothesis import given, strategies as st
 from planeval.gateway import (
     ApiError,
     ChatRequest,
+    ChatResponse,
     EmptyResponse,
+    GatewayError,
     Gateway,
     HttpTransport,
     Message,
@@ -157,6 +161,70 @@ def test_concurrent_distinct_requests_produce_uncorrupted_entries(tmp_path, mode
         import hashlib
 
         assert hashlib.sha256(payload.encode()).hexdigest() == f.stem
+
+
+class _InFlightTransport:
+    """Counts sends in flight; prompts ending in `!` have no transcript entry."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def send(self, model, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.001)
+            prompt = request.messages[-1].content
+            if prompt.endswith("!"):
+                raise TranscriptMiss(prompt)
+            return ChatResponse(text=f"answer to {prompt}")
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_map_is_the_one_bound_on_requests_in_flight(tmp_path, model_spec):
+    prompts = [f"p{i}!" if i % 7 == 0 else f"p{i}" for i in range(60)]
+    transport = _InFlightTransport()
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=3)
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: results.extend(
+                gw.map(lambda p: gw.complete(model_spec, [user_message(p)]), prompts)
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not worker.is_alive()
+    assert transport.peak == 3
+    assert len(results) == len(prompts)
+    for prompt, result in zip(prompts, results):
+        if prompt.endswith("!"):
+            assert isinstance(result, TranscriptMiss) and str(result) == prompt
+        else:
+            assert result.response.text == f"answer to {prompt}"
+
+
+def test_map_propagates_errors_other_than_gateway_errors(tmp_path):
+    gw = Gateway(tmp_path / "c", transport=MockTransport())
+
+    def fn(item):
+        if item == 2:
+            raise KeyError(item)
+        raise GatewayError(item)
+
+    with pytest.raises(KeyError):
+        gw.map(fn, range(4))
+    assert [str(e) for e in gw.map(fn, [0, 1])] == ["0", "1"]
 
 
 def test_mock_runs_are_bit_reproducible(tmp_path, model_spec):

@@ -371,7 +371,6 @@ def test_matrix_plans_once_per_planner_and_item(tmp_path, monkeypatch):
         planners,
         problems,
         ["direct_cot", "plan_augmented", "cross_model_plan"],
-        concurrency=8,
     )
     assert not run.failures
     # per item: 4 direct, 4 self-guided and 6 cross-model solves

@@ -431,6 +431,53 @@ def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
 
 
+RECORD_WITHOUT_ITEM_ID = {
+    "condition": "direct_cot", "score": 1.0, "step_count": 2, "solver_model": "mock-model"
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        ("eval-math", "--mock", None),
+        ("eval-math", "--mock", "{not json\n"),
+        ("probe", "--mock", json.dumps({"prompt_text": "q"}) + "\n"),
+        ("build-sft", "--plans", None),
+        ("build-sft", "--plans", json.dumps({"generator_model": "t", "text": "plan"}) + "\n"),
+        ("report", "--records", "{not json\n"),
+        ("report", "--records", json.dumps(RECORD_WITHOUT_ITEM_ID) + "\n"),
+        ("eval-math", "corpus", json.dumps({"question": "q"}) + "\n"),
+        ("eval-math", "corpus", json.dumps({"question": "q", "answer": "<<3+4>>\n#### 7"}) + "\n"),
+    ],
+    ids=[
+        "mock-missing",
+        "mock-bad-json",
+        "mock-no-response-text",
+        "plans-missing",
+        "plans-no-item-id",
+        "records-bad-json",
+        "records-no-item-id",
+        "corpus-no-answer",
+        "corpus-bad-annotation",
+    ],
+)
+def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
+    _, config, transcript, tmp_path = math_run
+    bad = tmp_path / "bad.jsonl"
+    if content is not None:
+        bad.write_text(content)
+    if flag == "corpus":
+        argv = [command, "--config", str(write_config(tmp_path, bad)), "--mock", str(transcript)]
+    elif flag == "--records":
+        argv = [command, flag, str(bad), "--out", str(tmp_path / "report")]
+    else:
+        argv = [command, "--config", str(config), flag, str(bad)]
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("line 1" if content is not None else "bad.jsonl") in err[0]
+
+
 def test_cli_looks_up_benchmark_hook_points_at_call_time(tmp_path, monkeypatch):
     """The pipeline benchmark counts transports and times writers by
     patching these module attributes; the CLI must resolve them per call."""
@@ -576,6 +623,27 @@ def test_summarize_warns_when_solver_not_weaker(tmp_path):
     )
     summary = summarize(records, "math")
     assert any("not below planner" in w for w in summary.warnings)
+
+
+def test_summarize_skips_fit_when_all_models_share_one_execution_ceiling(tmp_path):
+    models = ("m1", "m2", "m3")
+    plan = Condition.PLAN_AUGMENTED
+    records = [
+        EvalRecord(item_id=f"i{k}", condition=cond, score=score, step_count=2,
+                   solver_model=model, planner_model=model if cond is plan else None)
+        for model, score in zip(models, (0.25, 0.5, 1.0))
+        for cond in (Condition.DIRECT_COT, plan)
+        for k in range(4)
+    ]
+    summary = summarize(
+        records, "math", p_exe_by_model=dict.fromkeys(models, 0.9),
+        dist=StepDistribution({2: 1.0}),
+    )
+    assert summary.fit is None
+    assert len({row.exe_acc for row in summary.model_rows}) == 1
+    emit_report(records, summary, tmp_path)
+    assert "## Fit" not in (tmp_path / "report.md").read_text()
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_step_distribution_shape_for_probe_summary(tmp_path):

@@ -66,6 +66,13 @@ def test_check_math_answer_fraction_gold():
     assert check_math_answer("The final answer is: 0.5", Fraction(1, 2))
 
 
+def test_check_math_answer_zero_gold_needs_exact_zero():
+    assert check_math_answer("The final answer is: 0", 0)
+    assert check_math_answer("The final answer is: 0.000", Fraction(0))
+    assert not check_math_answer("The final answer is: 0.0000001", 0)
+    assert not check_math_answer("The final answer is: -0.0000001", 0)
+
+
 # --- expected execution accuracy
 
 
