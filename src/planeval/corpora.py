@@ -164,30 +164,30 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     problems: list[MathProblem] = []
     for line_no, obj in read_jsonl(path):
         if "question" not in obj or "answer" not in obj:
-            raise FormatError("missing question/answer field", line_no)
+            raise FormatError(f"missing question/answer field in {path}", line_no)
         question = obj["question"]
         solution = obj["answer"]
         item_id = str(obj.get("id", f"g{line_no:05d}"))
 
         final = FINAL_ANSWER_RE.findall(solution)
         if not final:
-            raise FormatError("missing #### answer marker", line_no)
+            raise FormatError(f"missing #### answer marker in {path}", line_no)
         try:
             gold = _parse_decimal(final[-1])
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"unparseable gold answer {final[-1]!r}", line_no) from exc
+            raise FormatError(f"unparseable gold answer {final[-1]!r} in {path}", line_no) from exc
 
         annotations: list[tuple[str, Fraction]] = []
         flags: list[str] = []
         for span in ANNOTATION_RE.findall(solution):
             if "=" not in span:
-                raise ParseError("annotation has no '='", f"<<{span}>>", line_no)
+                raise ParseError(f"annotation has no '=' in {path}", f"<<{span}>>", line_no)
             expr, result_text = span.rsplit("=", 1)
             try:
                 result = _parse_decimal(result_text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(
-                    f"unparseable annotated result {result_text!r}", f"<<{span}>>", line_no
+                    f"unparseable annotated result {result_text!r} in {path}", f"<<{span}>>", line_no
                 ) from exc
             annotations.append((expr, result))
             flag = _verify_annotation(expr, result)
@@ -274,12 +274,12 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
     for line_no, obj in read_jsonl(path):
         for key in ("task", "functions", "calls"):
             if key not in obj:
-                raise FormatError(f"missing {key} field", line_no)
+                raise FormatError(f"missing {key} field in {path}", line_no)
         item_id = str(obj.get("id", f"tool-{line_no:05d}"))
         functions = []
         for f in obj["functions"]:
             if not isinstance(f, dict) or not f.get("name"):
-                raise FormatError("function entry missing name", line_no)
+                raise FormatError(f"function entry missing name in {path}", line_no)
             functions.append(
                 FunctionSpec(
                     name=f["name"],
@@ -292,7 +292,7 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
         gold: list[ToolCall] = []
         for call in obj["calls"]:
             if not isinstance(call, dict) or not call.get("name"):
-                raise FormatError("call entry missing name", line_no)
+                raise FormatError(f"call entry missing name in {path}", line_no)
             if "success" in call:
                 ok = bool(call["success"])
             else:

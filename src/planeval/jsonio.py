@@ -75,3 +75,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON in {path} ({exc.msg})", line_no) from exc
             yield line_no, obj
+
+
+def read_rows(path: str | Path, kind: str, build) -> Iterator:
+    """`build(obj)` for each row of a JSON Lines file; a row that `build`
+    rejects raises FormatError with its line number."""
+    for line_no, obj in read_jsonl(path):
+        try:
+            yield build(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad {kind} row in {path}: {exc!r}", line_no) from exc

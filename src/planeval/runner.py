@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .corpora import (
     step_distribution,
 )
 from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
-from .jsonio import FormatError, atomic_open, read_jsonl, write_json, write_jsonl
+from .jsonio import FormatError, atomic_open, read_rows, write_json, write_jsonl
 from .planflow import (
-    MatrixRun,
     Plan,
     expand_matrix,
     generate_plans,
@@ -161,61 +160,26 @@ class RunConfig:
         ]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance snapshot written before the first model call."""
-
-    config_hash: str
-    template_hashes: Mapping[str, str]
-    corpus_hash: str
-    probe_prompt: str
-    seed: int
-    harness_version: str
-    created_at: float
-    planned: Mapping[str, int]
-
-    def fingerprint(self) -> str:
-        basis = json.dumps(
-            {
-                "config": self.config_hash,
-                "templates": dict(self.template_hashes),
-                "corpus": self.corpus_hash,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(basis.encode()).hexdigest()
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "config_hash": self.config_hash,
-            "template_hashes": dict(self.template_hashes),
-            "corpus_hash": self.corpus_hash,
-            "fingerprint": self.fingerprint(),
-            "probe_prompt": self.probe_prompt,
-            "seed": self.seed,
-            "harness_version": self.harness_version,
-            "created_at": self.created_at,
-            "planned": dict(self.planned),
-        }
-        write_json(path, payload)
-
-
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def build_manifest(config: RunConfig, item_count: int) -> RunManifest:
-    matrix = config.resolved_matrix()
-    return RunManifest(
-        config_hash=config.config_hash(),
-        template_hashes=template_hashes(),
-        corpus_hash=_file_hash(config.corpus),
-        probe_prompt=PROBE_PROMPT,
-        seed=config.seed,
-        harness_version=__version__,
-        created_at=time.time(),
-        planned={"items": item_count, "jobs": item_count * len(matrix)},
-    )
+def build_manifest(config: RunConfig, item_count: int) -> dict:
+    """Provenance of the outputs written beside it: the hashes of the config,
+    templates and corpus, and their combined fingerprint."""
+    hashes = {
+        "config": config.config_hash(),
+        "templates": template_hashes(),
+        "corpus": hashlib.sha256(config.corpus.read_bytes()).hexdigest(),
+    }
+    fingerprint = hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
+    return {
+        "config_hash": hashes["config"],
+        "template_hashes": hashes["templates"],
+        "corpus_hash": hashes["corpus"],
+        "fingerprint": fingerprint,
+        "probe_prompt": PROBE_PROMPT,
+        "seed": config.seed,
+        "harness_version": __version__,
+        "created_at": time.time(),
+        "planned": {"items": item_count, "jobs": item_count * len(config.resolved_matrix())},
+    }
 
 
 # --- record persistence ---------------------------------------------------
@@ -223,16 +187,6 @@ def build_manifest(config: RunConfig, item_count: int) -> RunManifest:
 
 def save_records(records: Sequence[EvalRecord], path: Path) -> None:
     write_jsonl(path, map(asdict, records))
-
-
-def _rows(path: Path, kind: str, build) -> Iterator:
-    """`build(obj)` for each row of a JSONL file; a row that `build` rejects
-    raises FormatError with its line number."""
-    for line_no, obj in read_jsonl(path):
-        try:
-            yield build(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad {kind} row in {path}: {exc!r}", line_no) from exc
 
 
 def _record(obj) -> EvalRecord:
@@ -250,7 +204,7 @@ def _record(obj) -> EvalRecord:
 
 
 def load_records(path: Path) -> list[EvalRecord]:
-    return list(_rows(path, "record", _record))
+    return list(read_rows(path, "record", _record))
 
 
 # --- summary and report ----------------------------------------------------
@@ -532,8 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mock", type=Path, help="offline mock transcript (JSON Lines)")
     common.add_argument("--out", type=Path, help="output directory override")
     common.add_argument("--seed", type=int, help="seed override for resampling")
-    common.add_argument("--resume", action="store_true",
-                        help="reuse existing records.jsonl instead of re-running the matrix")
 
     sub.add_parser("validate", parents=[common])
     p = sub.add_parser("probe", parents=[common])
@@ -626,7 +578,6 @@ def _cmd_probe(args) -> int:
         raise ConfigError("probe requires a math corpus")
     out = _out_dir(config, args)
     problems = load_gsm8k(config.corpus)
-    build_manifest(config, len(problems)).write(out / "manifest.json")
     extraction = extract_probes(problems)
     probes = extraction.probes[: args.limit] if args.limit else extraction.probes
     if not probes:
@@ -636,6 +587,7 @@ def _cmd_probe(args) -> int:
     except EmptyInput:
         dist = None
     gateway = _gateway(config, args)
+    write_json(out / "manifest.json", build_manifest(config, len(problems)))
     per_model: dict[str, dict] = {}
     ungraded_total = 0
     for model in config.models:
@@ -658,14 +610,17 @@ def _cmd_probe(args) -> int:
     return EXIT_PARTIAL if ungraded_total else EXIT_OK
 
 
-def _read_probe_summary(
-    out: Path, math_corpus=None
-) -> tuple[dict[str, float], StepDistribution | None]:
-    """p_exe per model and the step distribution that `probe` wrote to
-    `out`. Without a stored distribution, `math_corpus` supplies one."""
+def _summarize_and_emit(
+    args, records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path,
+    math_corpus,
+) -> None:
+    """Summarize `records` with the p_exe per model and step distribution
+    that `probe` wrote to `probe_dir`, and write the reports to `out`.
+    Without a stored distribution, `math_corpus` supplies one; `--seed`
+    overrides `seed`."""
     p_exe: dict[str, float] = {}
     dist = None
-    path = out / "probe_summary.json"
+    path = probe_dir / "probe_summary.json"
     if path.exists():
         data = json.loads(path.read_text(encoding="utf-8"))
         p_exe = {
@@ -680,56 +635,34 @@ def _read_probe_summary(
             dist = step_distribution(math_corpus)
         except EmptyInput:
             pass
-    return p_exe, dist
-
-
-def _check_resumable(manifest: RunManifest, path: Path) -> None:
-    """Refuse to reuse records that a different config, corpus or template
-    set produced, before the manifest is overwritten."""
-    try:
-        previous = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        previous = None
-    if not isinstance(previous, dict) or previous.get("fingerprint") != manifest.fingerprint():
-        raise ConfigError(
-            f"--resume: {path} does not match this config, corpus and templates; "
-            "rerun without --resume or use another --out"
-        )
+    seed = args.seed if args.seed is not None else seed
+    summary = summarize(records, task, p_exe_by_model=p_exe, dist=dist, seed=seed)
+    emit_report(records, summary, out)
 
 
 def _cmd_eval(args, task: str) -> int:
+    """Run the condition matrix, then write the manifest, records, failures
+    and reports. Rerunning is resuming: every answered request replays from
+    the cache, so only the unanswered ones reach the transport."""
     config = _require_config(args)
     if config.task != task:
         raise ConfigError(f"config task is {config.task!r}, expected {task!r}")
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
-    manifest = build_manifest(config, len(corpus))
-    records_path = out / "records.jsonl"
-    resume = args.resume and records_path.exists()
-    if resume:
-        _check_resumable(manifest, out / "manifest.json")
-    manifest.write(out / "manifest.json")
-
-    failures = ()
-    if resume:
-        records: Sequence[EvalRecord] = load_records(records_path)
+    run = run_condition_matrix(
+        _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
+    )
+    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
+    save_records(run.records, out / "records.jsonl")
+    failures_path = out / "failures.jsonl"
+    if run.failures:
+        write_jsonl(failures_path, map(asdict, run.failures))
     else:
-        gateway = _gateway(config, args)
-        run: MatrixRun = run_condition_matrix(
-            gateway, config.models, config.planner_specs, corpus, config.conditions
-        )
-        records = run.records
-        failures = run.failures
-        save_records(records, records_path)
-        if failures:
-            write_jsonl(out / "failures.jsonl", map(asdict, failures))
-
-    p_exe_map, dist = _read_probe_summary(out, corpus if task == "math" else None)
-    seed = args.seed if args.seed is not None else config.seed
-    summary = summarize(records, task, p_exe_by_model=p_exe_map, dist=dist, seed=seed)
-    emit_report(records, summary, out)
-    print(f"{len(records)} records, {len(failures)} failures -> {out}")
-    return EXIT_PARTIAL if failures else EXIT_OK
+        failures_path.unlink(missing_ok=True)
+    math_corpus = corpus if task == "math" else None
+    _summarize_and_emit(args, run.records, task, config.seed, out, out, math_corpus)
+    print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
+    return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
 def _report_plan_failures(results: Mapping, corpus) -> int:
@@ -746,9 +679,9 @@ def _cmd_plan(args) -> int:
     config = _require_config(args)
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
-    build_manifest(config, len(corpus)).write(out / "manifest.json")
     planners = config.planner_specs or config.models
     results = generate_plans(_gateway(config, args), planners, corpus)
+    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
     write_jsonl(out / "plans.jsonl", (asdict(p) for p in results.values() if isinstance(p, Plan)))
     return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
 
@@ -788,7 +721,7 @@ def _plan(obj) -> Plan:
 
 def _load_plans_file(path: Path) -> dict[str, Plan]:
     try:
-        return {plan.item_id: plan for plan in _rows(path, "plan", _plan)}
+        return {plan.item_id: plan for plan in read_rows(path, "plan", _plan)}
     except OSError as exc:
         raise ConfigError(f"cannot read plans file: {exc}") from exc
 
@@ -797,7 +730,6 @@ def _cmd_build_sft(args) -> int:
     config = _require_config(args)
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
-    build_manifest(config, len(corpus)).write(out / "manifest.json")
     mode = args.mode or config.sft_mode
     teacher = config.teacher_model
     plans = {}
@@ -820,6 +752,7 @@ def _cmd_build_sft(args) -> int:
         )
     except (sftgen.MissingPlan, sftgen.AnswerLeak) as exc:
         raise ConfigError(str(exc)) from exc
+    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
     print(f"wrote {corpus_path} and {meta_path}")
     return EXIT_OK
 
@@ -840,10 +773,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
     math_corpus = _load_corpus(config) if config is not None and task == "math" else None
-    p_exe_map, dist = _read_probe_summary(records_path.parent, math_corpus)
-    seed = args.seed if args.seed is not None else seed
-    summary = summarize(records, task, p_exe_by_model=p_exe_map, dist=dist, seed=seed)
-    emit_report(records, summary, out)
+    _summarize_and_emit(args, records, task, seed, records_path.parent, out, math_corpus)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

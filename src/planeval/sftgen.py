@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpora import MathProblem, ToolTask
-from .jsonio import read_jsonl, write_json, write_jsonl
+from .jsonio import read_rows, write_json, write_jsonl
 from .planflow import (
     Plan,
     _direct_prompt,
@@ -139,13 +139,14 @@ def serialize_sft(records: Sequence[SftRecord], path: str | Path) -> Path:
     return write_jsonl(path, (asdict(r) for r in ordered))
 
 
+def _sft_record(obj) -> SftRecord:
+    return SftRecord(
+        kind=obj["kind"], prompt=obj["prompt"], target=obj["target"], source_id=obj["source_id"]
+    )
+
+
 def load_sft(path: str | Path) -> list[SftRecord]:
-    return [
-        SftRecord(
-            kind=obj["kind"], prompt=obj["prompt"], target=obj["target"], source_id=obj["source_id"]
-        )
-        for _, obj in read_jsonl(path)
-    ]
+    return list(read_rows(path, "SFT", _sft_record))
 
 
 def write_sft_outputs(

@@ -164,9 +164,11 @@ def test_resolved_matrix_shapes(tmp_path):
 def test_manifest_written_fields(tmp_path):
     build_math_corpus(tmp_path / "c.jsonl", count=3)
     config = RunConfig.load(write_config(tmp_path, tmp_path / "c.jsonl"))
-    manifest = build_manifest(config, item_count=3)
-    manifest.write(tmp_path / "manifest.json")
-    data = json.loads((tmp_path / "manifest.json").read_text())
+    data = build_manifest(config, item_count=3)
+    assert set(data) == {
+        "config_hash", "template_hashes", "corpus_hash", "fingerprint", "probe_prompt",
+        "seed", "harness_version", "created_at", "planned",
+    }
     assert data["planned"]["items"] == 3
     assert len(data["corpus_hash"]) == 64
     assert set(data["template_hashes"]) == {
@@ -245,24 +247,51 @@ def test_cli_eval_partial_failure_exit_code(tmp_path):
     assert len(failures) == 1
 
 
-def test_cli_eval_resume_reuses_records(math_run):
-    _, config, transcript, tmp_path = math_run
-    argv = ["eval-math", "--config", str(config), "--mock", str(transcript)]
-    assert cli_dispatch(argv) == EXIT_OK
-    records_before = (tmp_path / "out" / "records.jsonl").read_bytes()
-    # resume must not need the transcript at all
-    assert cli_dispatch(["eval-math", "--config", str(config), "--resume"]) == EXIT_OK
-    assert (tmp_path / "out" / "records.jsonl").read_bytes() == records_before
+def test_cli_rerun_after_partial_run_sends_only_unanswered_requests(tmp_path, monkeypatch):
+    """Rerunning an eval is how it resumes: answered requests replay from the
+    cache, and the rerun's outputs equal those of a fresh run."""
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
+    partial = write_transcript(tmp_path / "partial.jsonl", math_transcript_entries(problems[:3]))
+    full = write_transcript(tmp_path / "full.jsonl", math_transcript_entries(problems))
+    conditions = ["direct_cot", "plan_augmented"]
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", conditions=conditions)
+    (tmp_path / "fresh").mkdir()
+    fresh = write_config(tmp_path / "fresh", tmp_path / "corpus.jsonl", conditions=conditions)
+    made = []
 
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-def test_cli_eval_resume_refuses_changed_corpus(math_run):
-    _, config, transcript, tmp_path = math_run
-    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
     out = tmp_path / "out"
-    before = {n: (out / n).read_bytes() for n in ("records.jsonl", "manifest.json")}
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(partial)]) == EXIT_PARTIAL
+    assert (out / "failures.jsonl").exists()
+    answered = len(list((tmp_path / "cache").glob("*/*.json")))
+    assert cli_dispatch(["eval-math", "--config", str(fresh), "--mock", str(full)]) == EXIT_OK
+    requests = made[-1].calls  # empty cache: one transport call per request
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(full)]) == EXIT_OK
+    assert made[-1].calls == requests - answered == 3  # the last item's direct, plan, guided
+    assert not (out / "failures.jsonl").exists()
+    for name in ("records.jsonl", "report.md", "summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("eval-math", ("manifest.json", "records.jsonl", "report.md")),
+    ("probe", ("manifest.json", "probe_summary.json")),
+    ("plan", ("manifest.json", "plans.jsonl")),
+])
+def test_cli_stopping_early_leaves_manifest_and_outputs_untouched(math_run, command, outputs):
+    _, config, transcript, tmp_path = math_run
+    assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) in (0, 1)
+    out = tmp_path / "out"
+    before = {n: (out / n).read_bytes() for n in outputs}
     build_math_corpus(tmp_path / "corpus.jsonl", count=3)
-    assert cli_dispatch(["eval-math", "--config", str(config), "--resume"]) == EXIT_CONFIG
-    assert {n: (out / n).read_bytes() for n in before} == before
+    missing = tmp_path / "missing.jsonl"
+    assert cli_dispatch([command, "--config", str(config), "--mock", str(missing)]) == EXIT_CONFIG
+    assert {n: (out / n).read_bytes() for n in outputs} == before
 
 
 def test_cli_probe_then_eval_math_merges_bottleneck_columns(math_run):
@@ -415,6 +444,7 @@ def test_cli_build_sft_plans_file_missing_items_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: no plan for items: {[p.id for p in problems[2:]]}"]
     assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
@@ -475,7 +505,9 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
     assert cli_dispatch(argv) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert ("line 1" if content is not None else "bad.jsonl") in err[0]
+    assert "bad.jsonl" in err[0]
+    if content is not None:
+        assert "line 1" in err[0]
 
 
 def test_cli_looks_up_benchmark_hook_points_at_call_time(tmp_path, monkeypatch):

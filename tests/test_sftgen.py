@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from helpers import MATH_PLAN_TEXT, TOOL_PLAN_TEXT, build_math_corpus, build_tool_corpus
+from planeval.jsonio import FormatError
 from planeval.planflow import Plan, _direct_prompt, _plan_prompt, render_call_sequence
 from planeval.sftgen import (
     AnswerLeak,
@@ -106,6 +108,16 @@ def test_serialize_roundtrip(tmp_path, math_corpus):
     records = build_sft_corpus(math_corpus, _plans_for(math_corpus), mode="all")
     path = serialize_sft(records, tmp_path / "sft.jsonl")
     assert load_sft(path) == records
+
+
+def test_load_sft_bad_row_cites_its_line(tmp_path, math_corpus):
+    path = serialize_sft(build_sft_corpus(math_corpus, {}, mode="answer_only"), tmp_path / "s.jsonl")
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "plan_target", "prompt": "p", "source_id": "x"}) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_sft(path)
+    assert err.value.line_no == len(math_corpus) + 1
+    assert "s.jsonl" in str(err.value)
 
 
 def test_serialize_deterministic_order_and_bytes(tmp_path, math_corpus):
