@@ -1,22 +1,24 @@
-"""Chat-completion gateway: OpenAI-compatible wire client with deterministic
-content-addressed response caching, one worker pool that fans out model calls
-and bounds them in flight, retry with full-jitter backoff, and a scripted
-offline mock transport."""
+"""Chat-completion gateway: OpenAI-compatible wire client on stdlib `urllib`
+with deterministic content-addressed response caching, one worker pool that
+fans out model calls and bounds them in flight, single-flight sends per
+request digest, retry with full-jitter backoff, and a scripted offline mock
+transport."""
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import random
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import urllib.error
+import urllib.request
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
 
 from .jsonio import FormatError, atomic_open, json_line, read_jsonl, write_jsonl
 
@@ -33,12 +35,15 @@ class TransportError(GatewayError):
 
 
 class ApiError(GatewayError):
-    """Non-2xx provider response; the body is preserved for debugging."""
+    """Non-2xx or malformed provider response; the body is preserved for
+    debugging. `retry_after` is the response's `Retry-After` delay in
+    seconds, or None when the header is absent or not delta-seconds."""
 
-    def __init__(self, status: int, body: str):
+    def __init__(self, status: int, body: str, retry_after: float | None = None):
         super().__init__(f"API error {status}: {body[:200]}")
         self.status = status
         self.body = body
+        self.retry_after = retry_after
 
 
 class EmptyResponse(GatewayError):
@@ -147,6 +152,11 @@ class RetryPolicy:
     def delay(self, retry_index: int) -> float:
         return random.uniform(0.0, self.base_delay * self.multiplier**retry_index)
 
+    @property
+    def longest_delay(self) -> float:
+        """Top of the jitter window before the last try."""
+        return self.base_delay * self.multiplier ** (self.attempts - 2)
+
 
 def _is_retryable(exc: GatewayError) -> bool:
     if isinstance(exc, TransportError):
@@ -156,36 +166,64 @@ def _is_retryable(exc: GatewayError) -> bool:
     return False
 
 
+def parse_retry_after(value: str | None) -> float | None:
+    """Seconds from a `Retry-After` header in its delta-seconds form
+    (RFC 9110 §10.2.3); None for an absent header, an HTTP-date or junk."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):
+        return None  # the 3xx reaches the caller as an HTTPError
+
+
 class HttpTransport:
-    """OpenAI-compatible chat-completions wire format over HTTP."""
+    """OpenAI-compatible chat-completions wire format over stdlib `urllib`:
+    one connection per call, proxies from `http(s)_proxy`/`no_proxy`, TLS
+    verified against the system CA store. Redirects are not followed, so
+    the API key goes to the configured endpoint only and a 3xx is an
+    ApiError."""
+
+    def __init__(self):
+        self._opener = urllib.request.build_opener(_RefuseRedirect)
 
     def send(self, model: ModelSpec, request: ChatRequest) -> ChatResponse:
-        headers = {}
-        key = os.environ.get(model.api_key_env, "") if model.api_key_env else ""
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": request.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        wire = urllib.request.Request(
+            model.endpoint_url, data=body, headers={"Content-Type": "application/json"}, method="POST"
+        )
+        key = os.environ.get(model.api_key_env, "") if model.api_key_env else ""
+        if key:
+            wire.add_unredirected_header("Authorization", f"Bearer {key}")  # never copied into a redirect
         try:
-            resp = requests.post(
-                model.endpoint_url, json=payload, headers=headers, timeout=model.timeout
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            with self._opener.open(wire, timeout=model.timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            try:
+                text = exc.read().decode("utf-8", errors="replace")
+            except (http.client.HTTPException, OSError):
+                text = ""  # the status alone still classifies the error
+            finally:
+                exc.close()
+            retry_after = parse_retry_after(exc.headers.get("Retry-After") if exc.headers else None)
+            raise ApiError(exc.code, text, retry_after) from exc
+        except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
             raise TransportError(str(exc)) from exc
-        if not 200 <= resp.status_code < 300:
-            raise ApiError(resp.status_code, resp.text)
         try:
-            data = resp.json()
+            data = json.loads(raw)
             choice = data["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason") or "stop"
             usage = data.get("usage") or {}
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ApiError(resp.status_code, resp.text) from exc
+            raise ApiError(status, raw.decode("utf-8", errors="replace")) from exc
         return ChatResponse(text=text or "", finish_reason=finish, token_usage=dict(usage))
 
 
@@ -256,6 +294,12 @@ class Gateway:
     safe. `map` fans calls out on `max_in_flight` worker threads; every
     threaded caller in the package goes through it, so its pool is the one
     bound on requests in flight.
+
+    Concurrent misses on one digest are sent once: the first caller (the
+    leader) sends and writes the cache, the others wait for its exchange or
+    its error. A waiting caller counts as a cache hit: it gets what a cache
+    read right after the leader's write returns, `cache_hit=True` and the
+    leader's `retry_count`.
     """
 
     def __init__(
@@ -272,6 +316,8 @@ class Gateway:
         self.retry = retry
         self.max_in_flight = max_in_flight
         self._sleep = sleep
+        self._flights: dict[str, Future] = {}
+        self._flights_lock = threading.Lock()
 
     def complete(self, model: ModelSpec, messages: Sequence[Message | tuple[str, str]]) -> ChatExchange:
         """Return the cached exchange for this request, or perform the call.
@@ -283,9 +329,29 @@ class Gateway:
         cached = self._read_cache(digest, request)
         if cached is not None:
             return cached
-        response, retries = self._send_with_retry(model, request)
-        self._write_cache(digest, request, response, retries)
-        return ChatExchange(request, response, digest, retry_count=retries)
+        with self._flights_lock:
+            flight = self._flights.get(digest)
+            leader = flight is None
+            if leader:
+                flight = self._flights[digest] = Future()
+        if not leader:
+            return replace(flight.result(), cache_hit=True)
+        try:
+            # A leader that finished between our cache read and the lock has
+            # already written the entry and left the table: read once more.
+            exchange = self._read_cache(digest, request)
+            if exchange is None:
+                response, retries = self._send_with_retry(model, request)
+                self._write_cache(digest, request, response, retries)
+                exchange = ChatExchange(request, response, digest, retry_count=retries)
+            flight.set_result(exchange)
+            return exchange
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._flights_lock:
+                del self._flights[digest]
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """`fn(item)` for every item on `max_in_flight` worker threads, in item
@@ -334,7 +400,12 @@ class Gateway:
                         ) from exc
                     raise
                 last_exc = exc
-                self._sleep(self.retry.delay(attempt))
+                delay = self.retry.delay(attempt)
+                if isinstance(exc, ApiError) and exc.retry_after is not None:
+                    if exc.retry_after > self.retry.longest_delay:
+                        raise  # longer than any backoff: fail now, a rerun retries
+                    delay = max(delay, exc.retry_after)  # the server's advice is a floor
+                self._sleep(delay)
         raise last_exc  # pragma: no cover - loop always raises or returns
 
     def _read_cache(self, digest: str, request: ChatRequest) -> ChatExchange | None:

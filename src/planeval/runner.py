@@ -9,9 +9,10 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -505,16 +506,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require_config(args) -> RunConfig:
+    """The config with `--seed`, when given, as its seed, so the manifest
+    records the seed the bootstrap uses."""
     if not args.config:
         raise ConfigError("--config is required for this command")
-    return RunConfig.load(args.config)
+    config = RunConfig.load(args.config)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _gateway(config: RunConfig, args) -> Gateway:
-    try:
-        transport = MockTransport.load(args.mock) if args.mock else HttpTransport()
-    except OSError as exc:
-        raise ConfigError(f"cannot read mock transcript: {exc}") from exc
+    if args.mock:
+        try:
+            transport = MockTransport.load(args.mock)
+        except OSError as exc:
+            raise ConfigError(f"cannot read mock transcript: {exc}") from exc
+    else:
+        for model in config.models:
+            try:
+                parts = urlsplit(model.endpoint_url)
+                valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+                parts.port  # raises ValueError for a non-numeric or out-of-range port
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ConfigError(
+                    f"model {model.name!r}: endpoint_url {model.endpoint_url!r} "
+                    "is not an http(s)://host URL"
+                )
+        transport = HttpTransport()
     return Gateway(
         cache_dir=config.cache_dir, transport=transport, max_in_flight=config.concurrency
     )
@@ -611,13 +630,12 @@ def _cmd_probe(args) -> int:
 
 
 def _summarize_and_emit(
-    args, records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path,
+    records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path,
     math_corpus,
 ) -> None:
     """Summarize `records` with the p_exe per model and step distribution
     that `probe` wrote to `probe_dir`, and write the reports to `out`.
-    Without a stored distribution, `math_corpus` supplies one; `--seed`
-    overrides `seed`."""
+    Without a stored distribution, `math_corpus` supplies one."""
     p_exe: dict[str, float] = {}
     dist = None
     path = probe_dir / "probe_summary.json"
@@ -635,7 +653,6 @@ def _summarize_and_emit(
             dist = step_distribution(math_corpus)
         except EmptyInput:
             pass
-    seed = args.seed if args.seed is not None else seed
     summary = summarize(records, task, p_exe_by_model=p_exe, dist=dist, seed=seed)
     emit_report(records, summary, out)
 
@@ -660,7 +677,7 @@ def _cmd_eval(args, task: str) -> int:
     else:
         failures_path.unlink(missing_ok=True)
     math_corpus = corpus if task == "math" else None
-    _summarize_and_emit(args, run.records, task, config.seed, out, out, math_corpus)
+    _summarize_and_emit(run.records, task, config.seed, out, out, math_corpus)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -764,7 +781,7 @@ def _cmd_report(args) -> int:
     if config is None:
         records_path = Path(args.records)
         out = Path(args.out) if args.out else records_path.parent
-        task, seed = args.task, 0
+        task, seed = args.task, args.seed or 0
     else:
         out = _out_dir(config, args)
         records_path = out / "records.jsonl"
@@ -773,7 +790,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
     math_corpus = _load_corpus(config) if config is not None and task == "math" else None
-    _summarize_and_emit(args, records, task, seed, records_path.parent, out, math_corpus)
+    _summarize_and_emit(records, task, seed, records_path.parent, out, math_corpus)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

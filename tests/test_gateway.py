@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import planeval
 from planeval.gateway import (
     ApiError,
     ChatRequest,
@@ -26,6 +30,7 @@ from planeval.gateway import (
     TransportError,
     cache_key,
     canonical_request,
+    parse_retry_after,
     user_message,
     write_transcript,
 )
@@ -240,16 +245,34 @@ def test_mock_runs_are_bit_reproducible(tmp_path, model_spec):
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list[int] = []
+    """Answers each request by the next script step: an HTTP status (a 3xx
+    points at `location`), "stall" (a 200 sent after the client's timeout),
+    "garbage" (a 200 whose body is not JSON) or "retry-after" (a 503 advising
+    a 2 s wait)."""
+
+    script: list[int | str] = []
+    location = ""
     hits = 0
+    last_headers = None
+    last_body = b""
 
     def do_POST(self):
         cls = type(self)
         status = cls.script[min(cls.hits, len(cls.script) - 1)]
         cls.hits += 1
         length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        if status == 200:
+        cls.last_headers, cls.last_body = self.headers, self.rfile.read(length)
+        extra = {}
+        if status == "stall":
+            time.sleep(1.0)
+            status = 200
+        if status == "retry-after":
+            status, extra = 503, {"Retry-After": "2"}
+        if status == "garbage":
+            status, body = 200, b"<html>busy</html>"
+        elif 300 <= status < 400:
+            body, extra = b"moved", {"Location": cls.location}
+        elif status == 200:
             body = json.dumps(
                 {
                     "choices": [{"message": {"content": "pong"}, "finish_reason": "stop"}],
@@ -261,8 +284,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in extra.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    do_GET = do_POST  # a followed 3xx lands here whichever method it uses
 
     def log_message(self, *args):
         pass
@@ -272,8 +299,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 def stub_server():
     servers = []
 
-    def start(script):
-        handler = type("Handler", (_ScriptedHandler,), {"script": list(script), "hits": 0})
+    def start(script, location=""):
+        handler = type(
+            "Handler", (_ScriptedHandler,), {"script": list(script), "location": location, "hits": 0}
+        )
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -329,3 +358,218 @@ def test_unreachable_endpoint_raises_transport_error(tmp_path):
     )
     with pytest.raises(TransportError):
         gw.complete(spec, [user_message("ping")])
+
+
+def _live_gateway(tmp_path, attempts=5, sleep=time.sleep):
+    return Gateway(
+        tmp_path / "c",
+        transport=HttpTransport(),
+        retry=RetryPolicy(attempts=attempts, base_delay=0),
+        sleep=sleep,
+    )
+
+
+def test_http_transport_sends_json_body_and_auth_header(tmp_path, stub_server, monkeypatch):
+    url, handler = stub_server([200])
+    monkeypatch.setenv("PLANEVAL_TEST_KEY", "sk-test")
+    spec = ModelSpec(name="live", endpoint_url=url, api_key_env="PLANEVAL_TEST_KEY", timeout=5)
+    exchange = _live_gateway(tmp_path).complete(spec, [user_message("ping \u00e9")])
+    assert exchange.response.text == "pong"
+    assert exchange.response.token_usage == {"total_tokens": 3}
+    request = exchange.request
+    assert handler.last_body == json.dumps(
+        {
+            "model": "live",
+            "messages": [{"role": "user", "content": "ping \u00e9"}],
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+        },
+        allow_nan=False,
+    ).encode("utf-8")
+    assert handler.last_headers["Content-Type"] == "application/json"
+    assert handler.last_headers["Authorization"] == "Bearer sk-test"
+
+
+def test_server_stalling_past_timeout_raises_transport_error(tmp_path, stub_server):
+    url, handler = stub_server(["stall"])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=0.2)
+    with pytest.raises(TransportError):
+        _live_gateway(tmp_path, attempts=1).complete(spec, [user_message("ping")])
+    assert handler.hits == 1
+
+
+def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_server):
+    url, handler = stub_server(["garbage"])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
+    with pytest.raises(ApiError) as err:
+        _live_gateway(tmp_path).complete(spec, [user_message("ping")])
+    assert err.value.status == 200
+    assert err.value.body == "<html>busy</html>"
+    assert handler.hits == 1  # a 2xx is not retried
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_an_api_error_and_the_key_stays_home(tmp_path, stub_server, monkeypatch, status):
+    target, landed = stub_server([200])
+    url, handler = stub_server([status], location=target)
+    monkeypatch.setenv("PLANEVAL_TEST_KEY", "sk-test")
+    spec = ModelSpec(name="live", endpoint_url=url, api_key_env="PLANEVAL_TEST_KEY", timeout=5)
+    with pytest.raises(ApiError) as err:
+        _live_gateway(tmp_path).complete(spec, [user_message("ping")])
+    assert err.value.status == status and err.value.body == "moved"
+    assert handler.hits == 1  # a 3xx is not retried
+    assert handler.last_headers["Authorization"] == "Bearer sk-test"
+    assert landed.hits == 0  # nothing, the key least of all, reaches the Location
+
+
+def test_http_retry_after_header_sets_the_backoff_floor(tmp_path, stub_server):
+    url, handler = stub_server(["retry-after", 200])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
+    sleeps = []
+    gw = Gateway(
+        tmp_path / "c", transport=HttpTransport(), retry=RetryPolicy(base_delay=1.0), sleep=sleeps.append
+    )
+    exchange = gw.complete(spec, [user_message("ping")])
+    assert exchange.response.text == "pong"
+    assert exchange.retry_count == 1
+    assert sleeps == [2.0]
+
+
+def test_live_call_works_without_the_requests_package(tmp_path, stub_server):
+    url, _ = stub_server([200])
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "import planeval.runner\n"
+        "from planeval.gateway import Gateway, ModelSpec, user_message\n"
+        "spec = ModelSpec(name='live', endpoint_url=sys.argv[2], timeout=5)\n"
+        "print(Gateway(sys.argv[1]).complete(spec, [user_message('ping')]).response.text)\n"
+    )
+    src = str(Path(planeval.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "c"), url],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "pong\n"
+
+
+@pytest.mark.parametrize("value, seconds", [
+    ("120", 120.0),
+    (" 3 ", 3.0),
+    ("0", 0.0),
+    (None, None),
+    ("", None),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", None),
+    ("-1", None),
+    ("1.5", None),
+    ("\u0663", None),
+])
+def test_parse_retry_after_takes_delta_seconds_only(value, seconds):
+    assert parse_retry_after(value) == seconds
+
+
+class _ScriptedTransport:
+    """Raises or returns each scripted outcome in turn."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def send(self, model, request):
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def test_retry_after_is_a_floor_on_the_jittered_delay(tmp_path, model_spec):
+    transport = _ScriptedTransport([
+        ApiError(429, "slow down", retry_after=3.0),
+        ApiError(503, "busy", retry_after=None),
+        ApiError(503, "busy", retry_after=0.0),
+        ChatResponse(text="ok"),
+    ])
+    sleeps = []
+    gw = Gateway(
+        tmp_path / "c", transport=transport, retry=RetryPolicy(base_delay=0.5), sleep=sleeps.append
+    )
+    exchange = gw.complete(model_spec, [user_message("P")])
+    assert exchange.response.text == "ok" and exchange.retry_count == 3
+    assert sleeps[0] == 3.0
+    assert 0.0 <= sleeps[1] <= 1.0 and 0.0 <= sleeps[2] <= 2.0
+
+
+@pytest.mark.parametrize("retry_after", [4.0 + 1e-9, 1e12, parse_retry_after("9" * 400)])
+def test_retry_after_beyond_the_longest_backoff_fails_at_once(tmp_path, model_spec, retry_after):
+    transport = _ScriptedTransport([ApiError(429, "come back later", retry_after), ChatResponse("ok")])
+    sleeps = []
+    gw = Gateway(
+        tmp_path / "c", transport=transport, retry=RetryPolicy(base_delay=0.5), sleep=sleeps.append
+    )
+    assert gw.retry.longest_delay == 4.0
+    [result] = gw.map(lambda text: gw.complete(model_spec, [user_message(text)]), ["P"])
+    assert isinstance(result, ApiError) and result.status == 429
+    assert sleeps == [] and len(transport.outcomes) == 1
+    # The bound is inclusive: the longest backoff window itself is waited out.
+    transport.outcomes.insert(0, ApiError(429, "come back later", 4.0))
+    assert gw.complete(model_spec, [user_message("P")]).response.text == "ok"
+    assert sleeps == [4.0]
+
+
+class _HeldTransport:
+    """Counts sends and holds each one at a barrier of `parties` sends for
+    up to `hold` seconds, so concurrent misses all miss the cache."""
+
+    def __init__(self, parties, outcome, hold=0.5):
+        self.barrier = threading.Barrier(parties)
+        self.outcome = outcome
+        self.hold = hold
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    def send(self, model, request):
+        with self.lock:
+            self.calls += 1
+        try:
+            self.barrier.wait(timeout=self.hold)
+        except threading.BrokenBarrierError:
+            pass
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def _concurrent_misses(gw, model_spec, n):
+    start = threading.Barrier(n)
+
+    def call(_):
+        start.wait(timeout=10)
+        return gw.complete(model_spec, [user_message("same prompt")])
+
+    return gw.map(call, range(n))
+
+
+def test_concurrent_misses_on_one_digest_make_one_transport_call(tmp_path, model_spec):
+    n = 6
+    transport = _HeldTransport(n, ChatResponse(text="shared"))
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=n)
+    results = _concurrent_misses(gw, model_spec, n)
+    assert transport.calls == 1
+    assert [r.response.text for r in results] == ["shared"] * n
+    assert len({r.digest for r in results}) == 1
+    assert sorted(r.cache_hit for r in results) == [False] + [True] * (n - 1)
+    assert len(list((tmp_path / "c").glob("*/*.json"))) == 1
+
+
+def test_waiting_callers_share_the_leaders_error_and_a_later_call_retries(tmp_path, model_spec):
+    n = 4
+    error = ApiError(400, "bad request")
+    transport = _HeldTransport(n, error)
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=n)
+    results = _concurrent_misses(gw, model_spec, n)
+    assert transport.calls == 1
+    assert all(r is error for r in results)
+    transport.outcome = ChatResponse(text="recovered")
+    assert gw.complete(model_spec, [user_message("same prompt")]).response.text == "recovered"
+    assert transport.calls == 2

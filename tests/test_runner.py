@@ -510,6 +510,41 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
         assert "line 1" in err[0]
 
 
+@pytest.mark.parametrize("url", [
+    "",
+    "localhost:8001/v1/chat/completions",
+    "ftp://localhost/v1/chat/completions",
+    "http:///v1/chat/completions",
+    "http://[::1/v1/chat/completions",
+    "http://localhost:port/v1/chat/completions",
+])
+def test_cli_live_run_with_bad_endpoint_url_exits_2_before_any_call(tmp_path, capsys, url):
+    build_math_corpus(tmp_path / "corpus.jsonl", count=2)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", models=[dict(MODEL, endpoint_url=url)])
+    assert cli_dispatch(["eval-math", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'mock-model'" in err[0]
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_manifest_records_the_seed_the_bootstrap_used(math_run):
+    _, config, transcript, tmp_path = math_run
+    argv = ["eval-math", "--mock", str(transcript)]
+    assert cli_dispatch(argv + ["--config", str(config), "--seed", "5"]) == EXIT_OK
+    (tmp_path / "five").mkdir()
+    five = write_config(
+        tmp_path / "five", tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"],
+        cache_dir=str(tmp_path / "cache"), seed=5,
+    )
+    assert cli_dispatch(argv + ["--config", str(five)]) == EXIT_OK
+    for out in (tmp_path / "out", tmp_path / "five" / "out"):
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+    summaries = [(d / "out" / "summary.json").read_bytes() for d in (tmp_path, tmp_path / "five")]
+    assert summaries[0] == summaries[1]
+
+
 def test_cli_looks_up_benchmark_hook_points_at_call_time(tmp_path, monkeypatch):
     """The pipeline benchmark counts transports and times writers by
     patching these module attributes; the CLI must resolve them per call."""
