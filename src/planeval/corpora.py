@@ -45,10 +45,6 @@ class MathProblem:
     step_count: int
     flags: tuple[str, ...] = ()
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags)
-
 
 @dataclass(frozen=True)
 class ArithmeticProbe:
@@ -102,9 +98,6 @@ class StepDistribution:
         if total == 0:
             raise EmptyInput("no counts")
         return cls({n: c / total for n, c in sorted(counts.items())})
-
-    def mode(self) -> int:
-        return max(self.mass, key=lambda n: (self.mass[n], -n))
 
 
 @dataclass(frozen=True)
@@ -162,12 +155,16 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     relative) are flagged, never silently fixed.
     """
     problems: list[MathProblem] = []
+    seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
         if "question" not in obj or "answer" not in obj:
             raise FormatError(f"missing question/answer field in {path}", line_no)
         question = obj["question"]
         solution = obj["answer"]
         item_id = str(obj.get("id", f"g{line_no:05d}"))
+        if item_id in seen:
+            raise FormatError(f"repeated item id {item_id!r} in {path}", line_no)
+        seen.add(item_id)
 
         final = FINAL_ANSWER_RE.findall(solution)
         if not final:
@@ -271,11 +268,15 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
     dropped_tasks = 0
     dropped_calls = 0
     reasons: Counter[str] = Counter()
+    seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
         for key in ("task", "functions", "calls"):
             if key not in obj:
                 raise FormatError(f"missing {key} field in {path}", line_no)
         item_id = str(obj.get("id", f"tool-{line_no:05d}"))
+        if item_id in seen:
+            raise FormatError(f"repeated item id {item_id!r} in {path}", line_no)
+        seen.add(item_id)
         functions = []
         for f in obj["functions"]:
             if not isinstance(f, dict) or not f.get("name"):

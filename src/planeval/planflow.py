@@ -255,18 +255,13 @@ def _guided_prompt(item, plan_text: str) -> str:
     )
 
 
-def solve_direct(
-    gateway: Gateway,
-    model: ModelSpec,
-    item: MathProblem | ToolTask,
-    condition: Condition = Condition.DIRECT_COT,
-) -> EvalRecord:
+def solve_direct(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> EvalRecord:
     """One-round baseline: render the direct prompt, call once, grade."""
     exchange = gateway.complete(model, [user_message(_direct_prompt(item))])
     score, steps, flags = _grade(exchange.response.text, item)
     return EvalRecord(
         item_id=item.id,
-        condition=condition,
+        condition=Condition.DIRECT_COT,
         score=score,
         step_count=steps,
         solver_model=model.name,
@@ -337,12 +332,12 @@ def expand_matrix(
 ) -> list[tuple[Condition, ModelSpec, ModelSpec | None]]:
     """The (condition, solver, planner) cells run for every item, in run order.
 
-    Baselines have no planner, plan_augmented solvers plan for themselves,
+    direct_cot has no planner, plan_augmented solvers plan for themselves,
     and cross_model_plan pairs each planner with every other solver.
     """
     cells: list[tuple[Condition, ModelSpec, ModelSpec | None]] = []
     for cond in map(Condition, conditions):
-        if cond in (Condition.DIRECT_COT, Condition.SFT_COT_BASELINE):
+        if cond is Condition.DIRECT_COT:
             cells.extend((cond, solver, None) for solver in solvers)
         elif cond is Condition.PLAN_AUGMENTED:
             cells.extend((cond, solver, solver) for solver in solvers)
@@ -398,7 +393,7 @@ def run_condition_matrix(
     def run_job(job):
         pos, cond, solver, planner = job
         if planner is None:
-            return solve_direct(gateway, solver, corpus[pos], condition=cond)
+            return solve_direct(gateway, solver, corpus[pos])
         plan = plans[planner, pos]
         if isinstance(plan, GatewayError):
             return plan

@@ -239,26 +239,37 @@ def summarize(
     dist: StepDistribution | None = None,
     seed: int = 0,
 ) -> Summary:
-    """Aggregate per-item records into the tables the reports print."""
+    """Aggregate per-item records into the tables the reports print.
+
+    Each (solver, condition, planner) cell is one group, keyed (solver, label):
+    the condition, plus `@<planner>` where the solver holds that condition
+    under several planners. `acc_plan` takes the planner that sorts first."""
     p_exe_by_model = dict(p_exe_by_model or {})
     edges = MATH_STEP_BUCKETS if task == "math" else TOOL_STEP_BUCKETS
 
-    by_pair: dict[tuple[str, str], list[EvalRecord]] = {}
+    cells: dict[tuple[str, str, str | None], list[EvalRecord]] = {}
     for r in records:
-        by_pair.setdefault((r.solver_model, r.condition.value), []).append(r)
+        cells.setdefault((r.solver_model, r.condition.value, r.planner_model), []).append(r)
+    pairs = [(solver, cond) for solver, cond, _ in cells]
+    groups = {
+        (solver, cond if pairs.count((solver, cond)) == 1 else f"{cond}@{planner}"): rs
+        for (solver, cond, planner), rs in cells.items()
+    }
 
     condition_means = {
-        pair: (sum(r.score for r in rs) / len(rs), len(rs)) for pair, rs in by_pair.items()
+        key: (sum(r.score for r in rs) / len(rs), len(rs)) for key, rs in groups.items()
     }
-    buckets = {pair: bucket_by_steps(rs, edges) for pair, rs in by_pair.items()}
+    buckets = {key: bucket_by_steps(rs, edges) for key, rs in groups.items()}
 
     models = sorted({r.solver_model for r in records} | set(p_exe_by_model))
     rows = []
     for model in models:
         acc = condition_means.get((model, Condition.DIRECT_COT.value))
-        plan_mean = condition_means.get(
-            (model, Condition.CROSS_MODEL_PLAN.value)
-        ) or condition_means.get((model, Condition.PLAN_AUGMENTED.value))
+        plan_mean = next(
+            (condition_means[key] for cond in (Condition.CROSS_MODEL_PLAN, Condition.PLAN_AUGMENTED)
+             for key, rs in sorted(groups.items()) if key[0] == model and rs[0].condition is cond),
+            None,
+        )
         p_exe = p_exe_by_model.get(model)
         exe = exe_acc(p_exe, dist) if p_exe is not None and dist is not None else None
         reason = (
@@ -276,39 +287,27 @@ def summarize(
         )
 
     p_values: dict[str, float] = {}
-    for model in models:
-        base = by_pair.get((model, Condition.DIRECT_COT.value))
-        if not base:
+    for (model, label), guided in groups.items():
+        base = groups.get((model, Condition.DIRECT_COT.value))
+        if base is None or guided[0].condition is Condition.DIRECT_COT:
             continue
-        for cond in (Condition.PLAN_AUGMENTED, Condition.CROSS_MODEL_PLAN):
-            guided = by_pair.get((model, cond.value))
-            if not guided:
-                continue
-            common = {r.item_id for r in base} & {r.item_id for r in guided}
-            if not common:
-                continue
-            a = [r for r in base if r.item_id in common]
-            b = [r for r in guided if r.item_id in common]
-            p_values[f"{cond.value}_vs_direct/{model}"] = paired_significance(
-                a, b, seed=seed
-            )
+        common = {r.item_id for r in base} & {r.item_id for r in guided}
+        if not common:
+            continue
+        a = [r for r in base if r.item_id in common]
+        b = [r for r in guided if r.item_id in common]
+        p_values[f"{label}_vs_direct/{model}"] = paired_significance(a, b, seed=seed)
 
+    direct_acc = {row.model: row.acc for row in rows if row.acc is not None}
     warnings = []
-    direct_acc = {
-        m: condition_means[(m, Condition.DIRECT_COT.value)][0]
-        for m in models
-        if (m, Condition.DIRECT_COT.value) in condition_means
-    }
-    for r in records:
-        if r.condition is Condition.CROSS_MODEL_PLAN and r.planner_model:
-            s, p = direct_acc.get(r.solver_model), direct_acc.get(r.planner_model)
-            if s is not None and p is not None and s >= p:
-                msg = (
-                    f"cross_model_plan: solver {r.solver_model} direct accuracy is not "
-                    f"below planner {r.planner_model}; guidance expected only for weaker solvers"
-                )
-                if msg not in warnings:
-                    warnings.append(msg)
+    for (solver, _), rs in groups.items():
+        planner = rs[0].planner_model
+        s, p = direct_acc.get(solver), direct_acc.get(planner)
+        if rs[0].condition is Condition.CROSS_MODEL_PLAN and None not in (s, p) and s >= p:
+            warnings.append(
+                f"cross_model_plan: solver {solver} direct accuracy is not "
+                f"below planner {planner}; guidance expected only for weaker solvers"
+            )
 
     fit = None
     fit_points = [

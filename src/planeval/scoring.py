@@ -40,7 +40,6 @@ class Condition(str, Enum):
     DIRECT_COT = "direct_cot"
     PLAN_AUGMENTED = "plan_augmented"
     CROSS_MODEL_PLAN = "cross_model_plan"
-    SFT_COT_BASELINE = "sft_cot_baseline"
 
 
 @dataclass(frozen=True)
@@ -300,9 +299,6 @@ class BucketStat:
 class BucketTable:
     buckets: tuple[BucketStat, ...]
     unbucketed_count: int
-
-    def as_mapping(self) -> dict[str, float | None]:
-        return {b.label: b.mean for b in self.buckets}
 
 
 def bucket_by_steps(

@@ -9,6 +9,7 @@ from helpers import (
     build_math_corpus,
     build_tool_corpus,
     gold_number,
+    make_math_lines,
     math_transcript_entries,
     tool_transcript_entries,
 )
@@ -16,8 +17,9 @@ import planeval.runner as runner_module
 import planeval.sftgen as sftgen_module
 from planeval.arith import PROBE_PROMPT
 from planeval.corpora import StepDistribution, extract_probes
-from planeval.gateway import write_transcript
-from planeval.planflow import _plan_prompt
+from planeval.gateway import Gateway, ModelSpec, cache_key, user_message, write_transcript
+from planeval.jsonio import write_jsonl
+from planeval.planflow import _direct_prompt, _guided_prompt, _plan_prompt
 from planeval.runner import (
     ConfigError,
     EXIT_CONFIG,
@@ -104,9 +106,10 @@ def test_config_loads_and_resolves_relative_paths(tmp_path):
     assert len(config.config_hash()) == 64
 
 
-def test_config_rejects_unknown_condition(tmp_path):
+@pytest.mark.parametrize("condition", ["zigzag", "sft_cot_baseline"])
+def test_config_rejects_unknown_condition(tmp_path, condition):
     build_math_corpus(tmp_path / "c.jsonl", count=1)
-    path = write_config(tmp_path, tmp_path / "c.jsonl", conditions=["direct_cot", "zigzag"])
+    path = write_config(tmp_path, tmp_path / "c.jsonl", conditions=["direct_cot", condition])
     with pytest.raises(ConfigError):
         RunConfig.load(path)
 
@@ -222,6 +225,48 @@ def test_cli_eval_math_offline(math_run):
     guided = summary["conditions"]["mock-model/plan_augmented"]["mean"]
     assert guided > direct
     assert "plan_augmented_vs_direct/mock-model" in summary["p_values"]
+
+
+def test_cli_eval_math_with_two_planners_summarizes_each_planner_apart(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=8)
+    models = [dict(MODEL, name=name) for name in ("a", "b", "c")]
+    specs = {m["name"]: ModelSpec(**m) for m in models}
+    plans = {"b": "Planner b: count the start, then add each phase.",
+             "c": "Planner c: add the phases first, then the start."}
+    # items answered right per (solver, planner); planner None is direct_cot
+    right = {("a", None): 2, ("b", None): 4, ("c", None): 4,
+             ("a", "b"): 7, ("a", "c"): 4, ("b", "c"): 5, ("c", "b"): 6}
+    entries = []
+    for i, p in enumerate(problems):
+        entries += [(planner, _plan_prompt(p), text) for planner, text in plans.items()]
+        for (solver, planner), k in right.items():
+            prompt = _direct_prompt(p) if planner is None else _guided_prompt(p, plans[planner])
+            answer = int(gold_number(p)) + (0 if i < k else 1)
+            entries.append((solver, prompt, f"The final answer is: {answer}"))
+    transcript = write_jsonl(tmp_path / "t.jsonl", (
+        {"prompt_digest": cache_key(Gateway.build_request(specs[m], [user_message(prompt)])),
+         "response_text": text}
+        for m, prompt, text in entries
+    ))
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", models=models,
+                          planners=["b", "c"], conditions=["direct_cot", "cross_model_plan"])
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert {key: row["mean"] for key, row in summary["conditions"].items()} == {
+        "a/direct_cot": 2 / 8, "b/direct_cot": 4 / 8, "c/direct_cot": 4 / 8,
+        "a/cross_model_plan@b": 7 / 8, "a/cross_model_plan@c": 4 / 8,
+        "b/cross_model_plan": 5 / 8, "c/cross_model_plan": 6 / 8,
+    }
+    assert summary["buckets"].keys() == summary["conditions"].keys()
+    assert sorted(summary["p_values"]) == [
+        "cross_model_plan@b_vs_direct/a", "cross_model_plan@c_vs_direct/a",
+        "cross_model_plan_vs_direct/b", "cross_model_plan_vs_direct/c",
+    ]
+    assert summary["models"]["a"]["acc_plus_plan"] == 7 / 8
+    assert [w.split(";")[0] for w in summary["warnings"]] == [
+        "cross_model_plan: solver b direct accuracy is not below planner c",
+        "cross_model_plan: solver c direct accuracy is not below planner b",
+    ]
 
 
 def test_cli_eval_math_reports_are_bit_identical_across_runs(math_run):
@@ -464,6 +509,7 @@ def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
 RECORD_WITHOUT_ITEM_ID = {
     "condition": "direct_cot", "score": 1.0, "step_count": 2, "solver_model": "mock-model"
 }
+REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line in make_math_lines(2))
 
 
 @pytest.mark.parametrize(
@@ -478,6 +524,7 @@ RECORD_WITHOUT_ITEM_ID = {
         ("report", "--records", json.dumps(RECORD_WITHOUT_ITEM_ID) + "\n"),
         ("eval-math", "corpus", json.dumps({"question": "q"}) + "\n"),
         ("eval-math", "corpus", json.dumps({"question": "q", "answer": "<<3+4>>\n#### 7"}) + "\n"),
+        ("eval-math", "corpus", REPEATED_ID_CORPUS),
     ],
     ids=[
         "mock-missing",
@@ -489,6 +536,7 @@ RECORD_WITHOUT_ITEM_ID = {
         "records-no-item-id",
         "corpus-no-answer",
         "corpus-bad-annotation",
+        "corpus-repeated-id",
     ],
 )
 def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
@@ -506,8 +554,8 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "bad.jsonl" in err[0]
-    if content is not None:
-        assert "line 1" in err[0]
+    if content is not None:  # each bad file goes wrong on its last line
+        assert f"line {len(content.splitlines())}" in err[0]
 
 
 @pytest.mark.parametrize("url", [

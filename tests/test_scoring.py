@@ -344,7 +344,7 @@ def test_api_f1_empty_conventions():
 def test_bucket_single_value():
     records = [_record(f"i{k}", 1.0, step_count=2) for k in range(4)]
     table = bucket_by_steps(records, MATH_STEP_BUCKETS)
-    assert table.as_mapping()["2"] == 1.0
+    assert table.buckets[0].label == "2" and table.buckets[0].mean == 1.0
     assert all(b.mean is None for b in table.buckets if b.label != "2")
 
 
