@@ -119,6 +119,16 @@ class ChatExchange:
     cache_hit: bool = False
 
 
+def _request_payload(request: ChatRequest) -> dict:
+    """The one dict form of a request: what is hashed, sent and cached."""
+    return {
+        "model": request.model,
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": float(request.temperature),
+        "max_tokens": int(request.max_tokens),
+    }
+
+
 def canonical_request(request: ChatRequest) -> str:
     """Canonical JSON form of a request: sorted keys, no insignificant
     whitespace, floats in shortest round-trip decimal form.
@@ -126,13 +136,9 @@ def canonical_request(request: ChatRequest) -> str:
     Operational knobs (timeout, retry policy, endpoint) are deliberately not
     part of the canonical form so they never invalidate caches.
     """
-    payload = {
-        "model": request.model,
-        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "temperature": float(request.temperature),
-        "max_tokens": int(request.max_tokens),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(
+        _request_payload(request), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
 
 
 def cache_key(request: ChatRequest) -> str:
@@ -142,20 +148,19 @@ def cache_key(request: ChatRequest) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Up to `attempts` tries on 429/5xx/transport errors, exponential
-    backoff with full jitter."""
+    """Up to `attempts` tries on 429/5xx/transport errors, backoff with full
+    jitter whose window doubles each try."""
 
     attempts: int = 5
     base_delay: float = 1.0
-    multiplier: float = 2.0
 
     def delay(self, retry_index: int) -> float:
-        return random.uniform(0.0, self.base_delay * self.multiplier**retry_index)
+        return random.uniform(0.0, self.base_delay * 2**retry_index)
 
     @property
     def longest_delay(self) -> float:
         """Top of the jitter window before the last try."""
-        return self.base_delay * self.multiplier ** (self.attempts - 2)
+        return self.base_delay * 2 ** (self.attempts - 2)
 
 
 def _is_retryable(exc: GatewayError) -> bool:
@@ -189,13 +194,7 @@ class HttpTransport:
         self._opener = urllib.request.build_opener(_RefuseRedirect)
 
     def send(self, model: ModelSpec, request: ChatRequest) -> ChatResponse:
-        payload = {
-            "model": request.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        body = json.dumps(_request_payload(request), allow_nan=False).encode("utf-8")
         wire = urllib.request.Request(
             model.endpoint_url, data=body, headers={"Content-Type": "application/json"}, method="POST"
         )
@@ -319,7 +318,7 @@ class Gateway:
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
 
-    def complete(self, model: ModelSpec, messages: Sequence[Message | tuple[str, str]]) -> ChatExchange:
+    def complete(self, model: ModelSpec, messages: Sequence[Message]) -> ChatExchange:
         """Return the cached exchange for this request, or perform the call.
 
         Raises TransportError, ApiError, EmptyResponse, or TranscriptMiss.
@@ -368,15 +367,13 @@ class Gateway:
             return list(pool.map(call, items))
 
     @staticmethod
-    def build_request(model: ModelSpec, messages: Sequence[Message | tuple[str, str]]) -> ChatRequest:
-        normalized = tuple(
-            m if isinstance(m, Message) else Message(m[0], m[1]) for m in messages
-        )
-        if not normalized:
+    def build_request(model: ModelSpec, messages: Sequence[Message]) -> ChatRequest:
+        messages = tuple(messages)
+        if not messages:
             raise ValueError("messages must be nonempty")
         return ChatRequest(
             model=model.name,
-            messages=normalized,
+            messages=messages,
             temperature=model.temperature,
             max_tokens=model.max_tokens,
         )
@@ -427,7 +424,7 @@ class Gateway:
         self, digest: str, request: ChatRequest, response: ChatResponse, retries: int
     ) -> None:
         entry = {
-            "request": json.loads(canonical_request(request)),
+            "request": _request_payload(request),
             "response": {
                 "text": response.text,
                 "finish_reason": response.finish_reason,

@@ -49,14 +49,13 @@ class PromptTemplate:
         return tuple(seen)
 
     def render(self, **bindings: str) -> str:
-        """Pure substitution; every placeholder in the body must be bound."""
+        """Pure substitution in one pass over the body, so a bound value is
+        inserted verbatim even when it holds a placeholder token; every
+        placeholder in the body must be bound."""
         missing = [p for p in self.placeholders if p not in bindings]
         if missing:
             raise RenderError(f"unbound placeholders in {self.name}: {missing}")
-        out = self.body
-        for key in self.placeholders:
-            out = out.replace("{" + key + "}", str(bindings[key]))
-        return out
+        return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), self.body)
 
 
 @lru_cache(maxsize=None)

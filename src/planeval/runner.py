@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, sftgen
 from .arith import PROBE_PROMPT, measure_p_exe
 from .corpora import (
-    EmptyInput,
     ParseError,
     StepDistribution,
     extract_probes,
@@ -124,6 +123,10 @@ class RunConfig:
         names = {m.name for m in self.models}
         if len(names) != len(self.models):
             raise ConfigError("duplicate model names")
+        for kind, values in (("planner", self.planners), ("condition", self.conditions)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"repeated {kind}: {', '.join(repeated)}")
         for p in self.planners:
             if p not in names:
                 raise ConfigError(f"planner {p!r} not among declared models")
@@ -136,6 +139,8 @@ class RunConfig:
             raise ConfigError("cross_model_plan requires a planners list")
         if self.teacher_model is not None and self.teacher_model not in names:
             raise ConfigError(f"teacher model {self.teacher_model!r} not declared")
+        if self.sft_mode not in sftgen.MODES:
+            raise ConfigError(f"unknown sft_mode {self.sft_mode!r}, expected one of {sftgen.MODES}")
         if not self.corpus.exists():
             raise ConfigError(f"corpus file not found: {self.corpus}")
         if self.concurrency < 1:
@@ -496,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common])
     p.add_argument("--points", type=Path, required=True, help="CSV of x,y points")
     p = sub.add_parser("build-sft", parents=[common])
-    p.add_argument("--mode", choices=("all", "plan_only", "answer_only"))
+    p.add_argument("--mode", choices=sftgen.MODES)
     p.add_argument("--plans", type=Path, help="precomputed plans.jsonl")
     p = sub.add_parser("report", parents=[common])
     p.add_argument("--records", type=Path, help="records.jsonl to summarize")
@@ -600,10 +605,7 @@ def _cmd_probe(args) -> int:
     probes = extraction.probes[: args.limit] if args.limit else extraction.probes
     if not probes:
         raise ConfigError("no usable probes in corpus")
-    try:
-        dist = step_distribution(problems)
-    except EmptyInput:
-        dist = None
+    dist = step_distribution(problems)
     gateway = _gateway(config, args)
     write_json(out / "manifest.json", build_manifest(config, len(problems)))
     per_model: dict[str, dict] = {}
@@ -620,7 +622,7 @@ def _cmd_probe(args) -> int:
         "models": per_model,
         "probe_count": len(probes),
         "skipped_expressions": extraction.skipped_count,
-        "step_distribution": {str(n): p for n, p in dist.mass.items()} if dist else None,
+        "step_distribution": {str(n): p for n, p in dist.mass.items()},
     }
     write_json(out / "probe_summary.json", payload)
     for name, row in sorted(per_model.items()):
@@ -629,12 +631,10 @@ def _cmd_probe(args) -> int:
 
 
 def _summarize_and_emit(
-    records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path,
-    math_corpus,
+    records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path
 ) -> None:
     """Summarize `records` with the p_exe per model and step distribution
-    that `probe` wrote to `probe_dir`, and write the reports to `out`.
-    Without a stored distribution, `math_corpus` supplies one."""
+    that `probe` wrote to `probe_dir`, and write the reports to `out`."""
     p_exe: dict[str, float] = {}
     dist = None
     path = probe_dir / "probe_summary.json"
@@ -647,11 +647,6 @@ def _summarize_and_emit(
         }
         if data.get("step_distribution"):
             dist = StepDistribution({int(k): v for k, v in data["step_distribution"].items()})
-    if dist is None and math_corpus is not None:
-        try:
-            dist = step_distribution(math_corpus)
-        except EmptyInput:
-            pass
     summary = summarize(records, task, p_exe_by_model=p_exe, dist=dist, seed=seed)
     emit_report(records, summary, out)
 
@@ -675,8 +670,7 @@ def _cmd_eval(args, task: str) -> int:
         write_jsonl(failures_path, map(asdict, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
-    math_corpus = corpus if task == "math" else None
-    _summarize_and_emit(run.records, task, config.seed, out, out, math_corpus)
+    _summarize_and_emit(run.records, task, config.seed, out, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -788,8 +782,7 @@ def _cmd_report(args) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    math_corpus = _load_corpus(config) if config is not None and task == "math" else None
-    _summarize_and_emit(records, task, seed, records_path.parent, out, math_corpus)
+    _summarize_and_emit(records, task, seed, records_path.parent, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

@@ -40,10 +40,6 @@ class MissingPlan(ValueError):
         self.item_ids = tuple(item_ids)
 
 
-class EmptyGoldAnswer(ValueError):
-    pass
-
-
 class AnswerLeak(ValueError):
     """A plan target contains the item's gold final answer."""
 
@@ -76,7 +72,6 @@ def build_sft_corpus(
     corpus: Sequence[MathProblem | ToolTask],
     plans: Mapping[str, Plan],
     mode: str = "all",
-    forbid_answer_leaks: bool = True,
 ) -> list[SftRecord]:
     """Build training records from a corpus and its teacher-generated plans.
 
@@ -84,7 +79,7 @@ def build_sft_corpus(
     "plan_only" and "answer_only" emit the corresponding single kind. Plan
     prompts render from the plan template and answer prompts from the
     direct template. Math plan targets that contain the gold final answer
-    abort the build unless `forbid_answer_leaks` is off.
+    abort the build.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -95,28 +90,24 @@ def build_sft_corpus(
         missing = [item.id for item in corpus if item.id not in plans]
         if missing:
             raise MissingPlan(missing)
-        if forbid_answer_leaks:
-            leaking = [
-                item.id
-                for item in corpus
-                if isinstance(item, MathProblem)
-                and has_answer_leak(plans[item.id].text, item.gold_answer)
-            ]
-            if leaking:
-                raise AnswerLeak(leaking)
+        leaking = [
+            item.id
+            for item in corpus
+            if isinstance(item, MathProblem)
+            and has_answer_leak(plans[item.id].text, item.gold_answer)
+        ]
+        if leaking:
+            raise AnswerLeak(leaking)
 
     records: list[SftRecord] = []
     for item in sorted(corpus, key=lambda i: i.id):
         kind_records = []
         if want_answer:
-            gold = _gold_answer_text(item)
-            if not gold:
-                raise EmptyGoldAnswer(f"item {item.id} has no gold answer text")
             kind_records.append(
                 SftRecord(
                     kind="answer_target",
                     prompt=_direct_prompt(item),
-                    target=gold,
+                    target=_gold_answer_text(item),
                     source_id=item.id,
                 )
             )

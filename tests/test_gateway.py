@@ -390,6 +390,16 @@ def test_http_transport_sends_json_body_and_auth_header(tmp_path, stub_server, m
     assert handler.last_headers["Authorization"] == "Bearer sk-test"
 
 
+def test_integer_temperature_goes_on_the_wire_as_the_cached_float(tmp_path, stub_server):
+    url, handler = stub_server([200])
+    spec = ModelSpec(name="live", endpoint_url=url, temperature=1, timeout=5)
+    gw = _live_gateway(tmp_path)
+    exchange = gw.complete(spec, [user_message("ping")])
+    assert b'"temperature": 1.0,' in handler.last_body
+    entry = json.loads(gw.cache_path(exchange.digest).read_text(encoding="utf-8"))
+    assert json.loads(handler.last_body) == entry["request"]
+
+
 def test_server_stalling_past_timeout_raises_transport_error(tmp_path, stub_server):
     url, handler = stub_server(["stall"])
     spec = ModelSpec(name="live", endpoint_url=url, timeout=0.2)

@@ -57,6 +57,22 @@ def test_render_is_pure_substitution():
     assert rendered == template.body.replace("{question}", "What is 2+2?")
 
 
+@pytest.mark.parametrize(
+    "name, bindings, verbatim, other",
+    [
+        ("math_guided", {"question": "What is {idea} worth?", "idea": "PLAN"},
+         "<Math problem>: What is {idea} worth?", "PLAN"),
+        ("tool_direct", {"task": "Call {func} twice", "func": "f1, f2"},
+         "<Task>: Call {func} twice", "f1, f2"),
+    ],
+    ids=["math_guided", "tool_direct"],
+)
+def test_render_inserts_a_value_holding_a_placeholder_token_verbatim(name, bindings, verbatim, other):
+    rendered = load_template(name).render(**bindings)
+    assert verbatim in rendered
+    assert rendered.count(other) == 1
+
+
 def test_render_missing_placeholder_raises():
     with pytest.raises(RenderError):
         load_template("math_guided").render(question="q")

@@ -134,6 +134,34 @@ def test_config_rejects_missing_corpus(tmp_path):
         RunConfig.load(path)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"planners": ["mock-planner", "mock-planner"], "conditions": ["direct_cot", "cross_model_plan"]},
+    {"planners": [], "conditions": ["direct_cot", "direct_cot", "plan_augmented"]},
+], ids=["planner", "condition"])
+def test_repeated_planner_or_condition_exits_2_before_any_model_call(math_run, capsys, overrides):
+    _, _, transcript, tmp_path = math_run
+    config = write_config(
+        tmp_path, tmp_path / "corpus.jsonl", models=[MODEL, PLANNER], **overrides
+    )
+    with pytest.raises(ConfigError):
+        RunConfig.load(config)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: repeated ")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_unknown_sft_mode_exits_2_with_one_line(tmp_path, capsys):
+    build_math_corpus(tmp_path / "corpus.jsonl", count=2)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", sft_mode="plan-only")
+    with pytest.raises(ConfigError):
+        RunConfig.load(config)
+    assert cli_dispatch(["build-sft", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown sft_mode 'plan-only'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_rejected_before_any_model_call(math_run):
     _, config, transcript, tmp_path = math_run
     argv = ["eval-math", "--mock", str(transcript)]
@@ -642,6 +670,24 @@ def test_cli_report_regenerates_identical_report(math_run):
     report_before = (tmp_path / "out" / "report.md").read_bytes()
     assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
     assert (tmp_path / "out" / "report.md").read_bytes() == report_before
+
+
+def test_cli_report_takes_the_step_distribution_from_probe_summary_only(math_run):
+    problems, config, _, tmp_path = math_run
+    probes = extract_probes(problems).probes
+    full = write_transcript(
+        tmp_path / "full_transcript.jsonl",
+        math_transcript_entries(problems, wrong_direct_ids={problems[0].id})
+        + [(PROBE_PROMPT.format(expression=p.expression), str(p.exact_value)) for p in probes],
+    )
+    for command in ("probe", "eval-math"):
+        assert cli_dispatch([command, "--config", str(config), "--mock", str(full)]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {n: (out / n).read_bytes() for n in ("report.md", "summary.json")}
+    assert json.loads(before["summary.json"])["models"]["mock-model"]["exe_acc"] is not None
+    (tmp_path / "corpus.jsonl").write_text("{not json\n")
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+    assert {n: (out / n).read_bytes() for n in before} == before
 
 
 def test_cli_report_from_records_flag(math_run, tmp_path):
