@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import arith
 from .jsonio import FormatError, read_jsonl
@@ -249,10 +249,10 @@ def extract_probes(problems: Sequence[MathProblem]) -> ProbeExtraction:
     return ProbeExtraction(probes=probes, skipped=tuple(skipped))
 
 
-def step_distribution(problems: Sequence[MathProblem]) -> StepDistribution:
-    """Empirical distribution of step counts over items with at least one
-    annotation; flagged zero-step items are excluded."""
-    counts = Counter(p.step_count for p in problems if p.step_count >= 1)
+def step_distribution(items: Iterable) -> StepDistribution:
+    """Empirical distribution of `step_count` over items (problems or
+    records) with at least one step; flagged zero-step items are excluded."""
+    counts = Counter(p.step_count for p in items if p.step_count >= 1)
     if not counts:
         raise EmptyInput("no problems with step_count >= 1")
     return StepDistribution.from_counts(counts)

@@ -20,7 +20,6 @@ from . import __version__, sftgen
 from .arith import PROBE_PROMPT, measure_p_exe
 from .corpora import (
     ParseError,
-    StepDistribution,
     extract_probes,
     load_gsm8k,
     load_toolbench,
@@ -167,19 +166,11 @@ class RunConfig:
 
 
 def build_manifest(config: RunConfig, item_count: int) -> dict:
-    """Provenance of the outputs written beside it: the hashes of the config,
-    templates and corpus, and their combined fingerprint."""
-    hashes = {
-        "config": config.config_hash(),
-        "templates": template_hashes(),
-        "corpus": hashlib.sha256(config.corpus.read_bytes()).hexdigest(),
-    }
-    fingerprint = hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
+    """Provenance of the outputs written beside it; `eval-*` and `report` add its `inputs`."""
     return {
-        "config_hash": hashes["config"],
-        "template_hashes": hashes["templates"],
-        "corpus_hash": hashes["corpus"],
-        "fingerprint": fingerprint,
+        "config_hash": config.config_hash(),
+        "template_hashes": template_hashes(),
+        "corpus_hash": hashlib.sha256(config.corpus.read_bytes()).hexdigest(),
         "probe_prompt": PROBE_PROMPT,
         "seed": config.seed,
         "harness_version": __version__,
@@ -241,7 +232,6 @@ def summarize(
     records: Sequence[EvalRecord],
     task: str,
     p_exe_by_model: Mapping[str, float] | None = None,
-    dist: StepDistribution | None = None,
     seed: int = 0,
 ) -> Summary:
     """Aggregate per-item records into the tables the reports print.
@@ -251,6 +241,8 @@ def summarize(
     under several planners. `acc_plan` takes the planner that sorts first."""
     p_exe_by_model = dict(p_exe_by_model or {})
     edges = MATH_STEP_BUCKETS if task == "math" else TOOL_STEP_BUCKETS
+    stepped = {r.item_id: r for r in records if r.step_count >= 1}  # the ceiling's items
+    dist = step_distribution(stepped.values()) if stepped else None
 
     cells: dict[tuple[str, str, str | None], list[EvalRecord]] = {}
     for r in records:
@@ -596,18 +588,20 @@ def _load_corpus(config: RunConfig):
 
 
 def _cmd_probe(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError("--limit must be >= 1")
     config = _require_config(args)
     if config.task != "math":
         raise ConfigError("probe requires a math corpus")
     out = _out_dir(config, args)
     problems = load_gsm8k(config.corpus)
     extraction = extract_probes(problems)
-    probes = extraction.probes[: args.limit] if args.limit else extraction.probes
+    probes = extraction.probes[: args.limit]
     if not probes:
         raise ConfigError("no usable probes in corpus")
-    dist = step_distribution(problems)
     gateway = _gateway(config, args)
-    write_json(out / "manifest.json", build_manifest(config, len(problems)))
+    manifest = build_manifest(config, len(problems))
+    write_json(out / "manifest.json", manifest)
     per_model: dict[str, dict] = {}
     ungraded_total = 0
     for model in config.models:
@@ -622,7 +616,7 @@ def _cmd_probe(args) -> int:
         "models": per_model,
         "probe_count": len(probes),
         "skipped_expressions": extraction.skipped_count,
-        "step_distribution": {str(n): p for n, p in dist.mass.items()},
+        "corpus_hash": manifest["corpus_hash"],
     }
     write_json(out / "probe_summary.json", payload)
     for name, row in sorted(per_model.items()):
@@ -630,29 +624,46 @@ def _cmd_probe(args) -> int:
     return EXIT_PARTIAL if ungraded_total else EXIT_OK
 
 
+def _read_json_object(path: Path) -> tuple[dict, str | None]:
+    """The JSON object in `path` and the sha256 of its bytes; ({}, None) without the file."""
+    try:
+        raw = path.read_bytes()
+        data = json.loads(raw)
+    except FileNotFoundError:
+        return {}, None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path} is not readable JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    return data, hashlib.sha256(raw).hexdigest()
+
+
+def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
+    """The p_exe per model in `probe`'s summary file and the file's sha256."""
+    data, digest = _read_json_object(path)
+    rows = data.get("models", {})
+    if not isinstance(rows, dict) or not all(isinstance(r, dict) for r in rows.values()):
+        raise ConfigError(f"{path}: models is not an object of per-model objects")
+    p_exe = {name: r["p_exe"] for name, r in rows.items() if r.get("p_exe") is not None}
+    for name, p in p_exe.items():
+        if type(p) not in (int, float) or not 0 <= p <= 1:
+            raise ConfigError(f"{path}: p_exe of {name!r} is {p!r}, not a number in [0, 1]")
+    return p_exe, digest
+
+
 def _summarize_and_emit(
-    records: Sequence[EvalRecord], task: str, seed: int, probe_dir: Path, out: Path
+    records: Sequence[EvalRecord], records_path: Path, probe: tuple[dict, str | None],
+    manifest: dict, task: str, seed: int, out: Path,
 ) -> None:
-    """Summarize `records` with the p_exe per model and step distribution
-    that `probe` wrote to `probe_dir`, and write the reports to `out`."""
-    p_exe: dict[str, float] = {}
-    dist = None
-    path = probe_dir / "probe_summary.json"
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-        p_exe = {
-            name: row["p_exe"]
-            for name, row in data.get("models", {}).items()
-            if row.get("p_exe") is not None
-        }
-        if data.get("step_distribution"):
-            dist = StepDistribution({int(k): v for k, v in data["step_distribution"].items()})
-    summary = summarize(records, task, p_exe_by_model=p_exe, dist=dist, seed=seed)
-    emit_report(records, summary, out)
+    """Write `manifest`, with the sha256 of the probe summary and records used, and the reports."""
+    records_hash = hashlib.sha256(records_path.read_bytes()).hexdigest()
+    manifest["inputs"] = {"probe_summary": probe[1], "records": records_hash}
+    write_json(out / "manifest.json", manifest)
+    emit_report(records, summarize(records, task, p_exe_by_model=probe[0], seed=seed), out)
 
 
 def _cmd_eval(args, task: str) -> int:
-    """Run the condition matrix, then write the manifest, records, failures
+    """Run the condition matrix, then write the records, failures, manifest
     and reports. Rerunning is resuming: every answered request replays from
     the cache, so only the unanswered ones reach the transport."""
     config = _require_config(args)
@@ -660,17 +671,19 @@ def _cmd_eval(args, task: str) -> int:
         raise ConfigError(f"config task is {config.task!r}, expected {task!r}")
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
+    probe = _read_probe_summary(out / "probe_summary.json")  # checked before any model call
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
-    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
-    save_records(run.records, out / "records.jsonl")
+    records_path = out / "records.jsonl"
+    save_records(run.records, records_path)
     failures_path = out / "failures.jsonl"
     if run.failures:
         write_jsonl(failures_path, map(asdict, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
-    _summarize_and_emit(run.records, task, config.seed, out, out)
+    manifest = build_manifest(config, len(corpus))
+    _summarize_and_emit(run.records, records_path, probe, manifest, task, config.seed, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -782,7 +795,9 @@ def _cmd_report(args) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    _summarize_and_emit(records, task, seed, records_path.parent, out)
+    probe = _read_probe_summary(records_path.parent / "probe_summary.json")
+    manifest = _read_json_object(out / "manifest.json")[0]
+    _summarize_and_emit(records, records_path, probe, manifest, task, seed, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,13 +13,14 @@ from helpers import (
     make_math_lines,
     math_transcript_entries,
     tool_transcript_entries,
+    write_gsm8k_file,
 )
 import planeval.runner as runner_module
 import planeval.sftgen as sftgen_module
 from planeval.arith import PROBE_PROMPT
-from planeval.corpora import StepDistribution, extract_probes
+from planeval.corpora import StepDistribution, extract_probes, load_gsm8k, step_distribution
 from planeval.gateway import Gateway, ModelSpec, cache_key, user_message, write_transcript
-from planeval.jsonio import write_jsonl
+from planeval.jsonio import write_json, write_jsonl
 from planeval.planflow import _direct_prompt, _guided_prompt, _plan_prompt
 from planeval.runner import (
     ConfigError,
@@ -34,7 +36,7 @@ from planeval.runner import (
     load_records,
     summarize,
 )
-from planeval.scoring import Condition, EvalRecord
+from planeval.scoring import Condition, EvalRecord, exe_acc
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,6 +52,10 @@ PLANNER = {
     "api_key_env": "",
     "max_tokens": 256,
 }
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_config(tmp_path, corpus, task="math", **overrides) -> Path:
@@ -193,11 +199,11 @@ def test_resolved_matrix_shapes(tmp_path):
 
 
 def test_manifest_written_fields(tmp_path):
-    build_math_corpus(tmp_path / "c.jsonl", count=3)
-    config = RunConfig.load(write_config(tmp_path, tmp_path / "c.jsonl"))
-    data = build_manifest(config, item_count=3)
+    problems = build_math_corpus(tmp_path / "c.jsonl", count=3)
+    config_path = write_config(tmp_path, tmp_path / "c.jsonl")
+    data = build_manifest(RunConfig.load(config_path), item_count=3)
     assert set(data) == {
-        "config_hash", "template_hashes", "corpus_hash", "fingerprint", "probe_prompt",
+        "config_hash", "template_hashes", "corpus_hash", "probe_prompt",
         "seed", "harness_version", "created_at", "planned",
     }
     assert data["planned"]["items"] == 3
@@ -206,7 +212,13 @@ def test_manifest_written_fields(tmp_path):
         "math_direct", "math_plan", "math_guided", "tool_direct", "tool_plan", "tool_guided",
     }
     assert data["probe_prompt"].startswith("Compute the value")
-    assert data["fingerprint"] != data["config_hash"]
+    transcript = write_transcript(tmp_path / "t.jsonl", math_transcript_entries(problems))
+    assert cli_dispatch(["eval-math", "--config", str(config_path), "--mock", str(transcript)]) == 0
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(written) == set(data) | {"inputs"}
+    assert written["inputs"] == {
+        "probe_summary": None, "records": sha256_of(tmp_path / "out" / "records.jsonl"),
+    }
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -387,7 +399,6 @@ def test_cli_probe_then_eval_math_merges_bottleneck_columns(math_run):
     assert cli_dispatch(["probe", "--config", str(config), "--mock", str(full)]) == EXIT_OK
     probe_summary = json.loads((tmp_path / "out" / "probe_summary.json").read_text())
     assert probe_summary["models"]["mock-model"]["p_exe"] == 1.0
-    assert probe_summary["step_distribution"] is not None
 
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(full)]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -672,7 +683,7 @@ def test_cli_report_regenerates_identical_report(math_run):
     assert (tmp_path / "out" / "report.md").read_bytes() == report_before
 
 
-def test_cli_report_takes_the_step_distribution_from_probe_summary_only(math_run):
+def test_cli_report_does_not_parse_the_corpus(math_run):
     problems, config, _, tmp_path = math_run
     probes = extract_probes(problems).probes
     full = write_transcript(
@@ -700,6 +711,170 @@ def test_cli_report_from_records_flag(math_run, tmp_path):
     assert code == EXIT_OK
     assert (out2 / "report.md").exists()
 
+
+
+# --- execution ceiling and its inputs -----------------------------------------
+
+
+def probe_entries(problems, wrong_every: int = 0) -> list[tuple[str, str]]:
+    """A transcript answer for every probe of `problems`; with `wrong_every`
+    k, every k-th answer is off by one."""
+    return [
+        (
+            PROBE_PROMPT.format(expression=p.expression),
+            str(p.exact_value + 1 if wrong_every and k % wrong_every == 0 else p.exact_value),
+        )
+        for k, p in enumerate(extract_probes(problems).probes)
+    ]
+
+
+def read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_ceiling_comes_from_the_evaluated_items_not_the_probed_corpus(tmp_path):
+    lines = make_math_lines(20)
+    corpus_a = write_gsm8k_file(tmp_path / "a.jsonl", lines)
+    corpus_b = write_gsm8k_file(tmp_path / "b.jsonl", lines[::6])
+    problems_b = load_gsm8k(corpus_b)
+    assert {p.step_count for p in problems_b} == {2}
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        math_transcript_entries(problems_b) + probe_entries(load_gsm8k(corpus_a), wrong_every=4),
+    )
+    out = tmp_path / "out"
+    config = write_config(tmp_path, corpus_a)
+    assert cli_dispatch(["probe", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    probe_summary = read_json(out / "probe_summary.json")
+    assert probe_summary["corpus_hash"] == sha256_of(corpus_a)
+    p_exe = probe_summary["models"]["mock-model"]["p_exe"]
+    assert 0 < p_exe < 1
+
+    config = write_config(tmp_path, corpus_b)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    row = read_json(out / "summary.json")["models"]["mock-model"]
+    assert row["exe_acc"] == p_exe**2
+    assert row["reason_score"] == row["acc"] / p_exe**2
+    manifest = read_json(out / "manifest.json")
+    assert manifest["corpus_hash"] == sha256_of(corpus_b)
+    assert manifest["inputs"]["probe_summary"] == sha256_of(out / "probe_summary.json")
+
+
+def test_item_whose_every_cell_failed_is_left_out_of_the_ceiling(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=2)
+    assert [p.step_count for p in problems] == [2, 3]
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        math_transcript_entries(problems[:1]) + probe_entries(problems, wrong_every=2),
+    )
+    config = write_config(
+        tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"]
+    )
+    out = tmp_path / "out"
+    assert cli_dispatch(["probe", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    p_exe = read_json(out / "probe_summary.json")["models"]["mock-model"]["p_exe"]
+    assert 0 < p_exe < 1
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_PARTIAL
+    failed = {json.loads(line)["item_id"] for line in (out / "failures.jsonl").open()}
+    assert failed == {problems[1].id}
+    assert read_json(out / "summary.json")["models"]["mock-model"]["exe_acc"] == p_exe**2
+
+
+def test_records_without_a_step_give_no_ceiling():
+    records = [
+        EvalRecord(item_id=f"i{k}", condition=Condition.DIRECT_COT, score=1.0,
+                   step_count=0, solver_model="a")
+        for k in range(3)
+    ]
+    (row,) = summarize(records, "math", p_exe_by_model={"a": 0.9}).model_rows
+    assert row.p_exe == 0.9 and row.exe_acc is None and row.reason is None
+
+
+def test_manifest_names_the_probe_summary_the_report_read(math_run):
+    _, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    written = read_json(out / "manifest.json")
+    assert written["inputs"] == {"probe_summary": None, "records": sha256_of(out / "records.jsonl")}
+    hashes = []
+    for p_exe in (0.5, 0.25):
+        write_json(out / "probe_summary.json", {"models": {"mock-model": {"p_exe": p_exe}}})
+        assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+        manifest = read_json(out / "manifest.json")
+        assert manifest["inputs"] == {
+            "probe_summary": sha256_of(out / "probe_summary.json"),
+            "records": sha256_of(out / "records.jsonl"),
+        }
+        assert dict(manifest, inputs=None) == dict(written, inputs=None)
+        assert read_json(out / "summary.json")["models"]["mock-model"]["p_exe"] == p_exe
+        hashes.append(manifest["inputs"]["probe_summary"])
+    assert hashes[0] != hashes[1]
+
+
+def test_stored_step_distribution_does_not_change_the_report(math_run):
+    problems, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    reports = []
+    for extra in ({}, {"step_distribution": {"7": 1.0}}):
+        write_json(out / "probe_summary.json", {"models": {"mock-model": {"p_exe": 0.9}}, **extra})
+        assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+        names = ("report.md", "report.csv", "buckets.csv", "summary.json")
+        reports.append({n: (out / n).read_bytes() for n in names})
+    assert reports[0] == reports[1]
+    row = json.loads(reports[0]["summary.json"])["models"]["mock-model"]
+    assert row["exe_acc"] == exe_acc(0.9, step_distribution(problems))
+
+
+@pytest.mark.parametrize("command", ["report", "eval-math"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json\n",
+        "[0.9]\n",
+        json.dumps({"models": ["mock-model"]}),
+        json.dumps({"models": {"mock-model": 0.9}}),
+        json.dumps({"models": {"mock-model": {"p_exe": 1.5}}}),
+        json.dumps({"models": {"mock-model": {"p_exe": "0.9"}}}),
+    ],
+    ids=["bad-json", "not-object", "models-list", "model-row-number", "p_exe-1.5", "p_exe-text"],
+)
+def test_cli_malformed_probe_summary_exits_2_with_one_line(math_run, capsys, command, content):
+    _, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    eval_argv = ["eval-math", "--config", str(config), "--mock", str(transcript)]
+    if command == "report":
+        assert cli_dispatch(eval_argv) == EXIT_OK
+    out.mkdir(exist_ok=True)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cache_before = sorted((tmp_path / "cache").glob("*/*.json"))
+    (out / "probe_summary.json").write_text(content)
+    argv = ["report", "--config", str(config)] if command == "report" else eval_argv
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out / "probe_summary.json") in err[0]
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "probe_summary.json"}
+    assert after == before
+    assert sorted((tmp_path / "cache").glob("*/*.json")) == cache_before
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_cli_probe_limit_below_one_exits_2(math_run, capsys, limit):
+    _, config, transcript, tmp_path = math_run
+    argv = ["probe", "--config", str(config), "--mock", str(transcript), "--limit", limit]
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["error: --limit must be >= 1"]
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cli_probe_limit_takes_the_first_probes(math_run):
+    problems, config, _, tmp_path = math_run
+    transcript = write_transcript(tmp_path / "probes.jsonl", probe_entries(problems))
+    argv = ["probe", "--config", str(config), "--mock", str(transcript), "--limit", "2"]
+    assert cli_dispatch(argv) == EXIT_OK
+    assert read_json(tmp_path / "out" / "probe_summary.json")["probe_count"] == 2
 
 # --- shipped fixtures validate as-is ------------------------------------------
 
@@ -796,10 +971,7 @@ def test_summarize_skips_fit_when_all_models_share_one_execution_ceiling(tmp_pat
         for cond in (Condition.DIRECT_COT, plan)
         for k in range(4)
     ]
-    summary = summarize(
-        records, "math", p_exe_by_model=dict.fromkeys(models, 0.9),
-        dist=StepDistribution({2: 1.0}),
-    )
+    summary = summarize(records, "math", p_exe_by_model=dict.fromkeys(models, 0.9))
     assert summary.fit is None
     assert len({row.exe_acc for row in summary.model_rows}) == 1
     emit_report(records, summary, tmp_path)
