@@ -9,7 +9,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
@@ -87,6 +87,12 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        known = {f.name for f in fields(cls) if f.name != "raw_bytes"} | {"description"}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigError(f"config {path}: unknown key {', '.join(map(repr, unknown))}")
         base = path.parent
 
         def respath(value: str) -> Path:
@@ -482,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="run configuration file (JSON)")
     common.add_argument("--mock", type=Path, help="offline mock transcript (JSON Lines)")
     common.add_argument("--out", type=Path, help="output directory override")
-    common.add_argument("--seed", type=int, help="seed override for resampling")
 
     sub.add_parser("validate", parents=[common])
     p = sub.add_parser("probe", parents=[common])
@@ -492,22 +497,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("plan", parents=[common])
     p = sub.add_parser("fit", parents=[common])
     p.add_argument("--points", type=Path, required=True, help="CSV of x,y points")
-    p = sub.add_parser("build-sft", parents=[common])
-    p.add_argument("--mode", choices=sftgen.MODES)
-    p.add_argument("--plans", type=Path, help="precomputed plans.jsonl")
-    p = sub.add_parser("report", parents=[common])
-    p.add_argument("--records", type=Path, help="records.jsonl to summarize")
-    p.add_argument("--task", choices=("math", "tools"), default="math")
+    sub.add_parser("build-sft", parents=[common])
+    sub.add_parser("report", parents=[common])
     return parser
 
 
 def _require_config(args) -> RunConfig:
-    """The config with `--seed`, when given, as its seed, so the manifest
-    records the seed the bootstrap uses."""
     if not args.config:
         raise ConfigError("--config is required for this command")
-    config = RunConfig.load(args.config)
-    return config if args.seed is None else replace(config, seed=args.seed)
+    return RunConfig.load(args.config)
 
 
 def _gateway(config: RunConfig, args) -> Gateway:
@@ -548,8 +546,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
         handler = {
             "validate": _cmd_validate,
             "probe": _cmd_probe,
@@ -653,13 +649,15 @@ def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
 
 def _summarize_and_emit(
     records: Sequence[EvalRecord], records_path: Path, probe: tuple[dict, str | None],
-    manifest: dict, task: str, seed: int, out: Path,
+    manifest: dict, config: RunConfig, out: Path,
 ) -> None:
-    """Write `manifest`, with the sha256 of the probe summary and records used, and the reports."""
+    """Write `manifest`, with the seed, probe summary and records used, and the reports."""
     records_hash = hashlib.sha256(records_path.read_bytes()).hexdigest()
+    manifest["seed"] = config.seed
     manifest["inputs"] = {"probe_summary": probe[1], "records": records_hash}
     write_json(out / "manifest.json", manifest)
-    emit_report(records, summarize(records, task, p_exe_by_model=probe[0], seed=seed), out)
+    summary = summarize(records, config.task, p_exe_by_model=probe[0], seed=config.seed)
+    emit_report(records, summary, out)
 
 
 def _cmd_eval(args, task: str) -> int:
@@ -683,7 +681,7 @@ def _cmd_eval(args, task: str) -> int:
     else:
         failures_path.unlink(missing_ok=True)
     manifest = build_manifest(config, len(corpus))
-    _summarize_and_emit(run.records, records_path, probe, manifest, task, config.seed, out)
+    _summarize_and_emit(run.records, records_path, probe, manifest, config, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -733,47 +731,25 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _plan(obj) -> Plan:
-    return Plan(
-        item_id=obj["item_id"],
-        generator_model=obj["generator_model"],
-        text=obj["text"],
-        lint_flags=tuple(obj.get("lint_flags", ())),
-    )
-
-
-def _load_plans_file(path: Path) -> dict[str, Plan]:
-    try:
-        return {plan.item_id: plan for plan in read_rows(path, "plan", _plan)}
-    except OSError as exc:
-        raise ConfigError(f"cannot read plans file: {exc}") from exc
-
-
 def _cmd_build_sft(args) -> int:
     config = _require_config(args)
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
-    mode = args.mode or config.sft_mode
     teacher = config.teacher_model
     plans = {}
-    if mode in ("all", "plan_only"):
-        if args.plans:
-            plans = _load_plans_file(args.plans)
-            if teacher is None and plans:
-                teacher = next(iter(plans.values())).generator_model
-        else:
-            if teacher is None:
-                raise ConfigError("build-sft needs teacher_model in config or --plans")
-            spec = next(m for m in config.models if m.name == teacher)
-            results = generate_plans(_gateway(config, args), [spec], corpus)
-            if _report_plan_failures(results, corpus):
-                return EXIT_PARTIAL
-            plans = {corpus[pos].id: plan for (_, pos), plan in results.items()}
+    if config.sft_mode in ("all", "plan_only"):
+        if teacher is None:
+            raise ConfigError("build-sft needs teacher_model in config")
+        spec = next(m for m in config.models if m.name == teacher)
+        results = generate_plans(_gateway(config, args), [spec], corpus)
+        if _report_plan_failures(results, corpus):
+            return EXIT_PARTIAL
+        plans = {corpus[pos].id: plan for (_, pos), plan in results.items()}
     try:
         corpus_path, meta_path = sftgen.write_sft_outputs(
-            corpus, plans, mode=mode, out_dir=out, teacher_model=teacher or ""
+            corpus, plans, mode=config.sft_mode, out_dir=out, teacher_model=teacher or ""
         )
-    except (sftgen.MissingPlan, sftgen.AnswerLeak) as exc:
+    except sftgen.AnswerLeak as exc:
         raise ConfigError(str(exc)) from exc
     write_json(out / "manifest.json", build_manifest(config, len(corpus)))
     print(f"wrote {corpus_path} and {meta_path}")
@@ -781,23 +757,15 @@ def _cmd_build_sft(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.records is None and args.config is None:
-        raise ConfigError("report needs --records or --config")
-    config = None if args.records is not None else _require_config(args)
-    if config is None:
-        records_path = Path(args.records)
-        out = Path(args.out) if args.out else records_path.parent
-        task, seed = args.task, args.seed or 0
-    else:
-        out = _out_dir(config, args)
-        records_path = out / "records.jsonl"
-        task, seed = config.task, config.seed
+    config = _require_config(args)
+    out = _out_dir(config, args)
+    records_path = out / "records.jsonl"
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    probe = _read_probe_summary(records_path.parent / "probe_summary.json")
+    probe = _read_probe_summary(out / "probe_summary.json")
     manifest = _read_json_object(out / "manifest.json")[0]
-    _summarize_and_emit(records, records_path, probe, manifest, task, seed, out)
+    _summarize_and_emit(records, records_path, probe, manifest, config, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

@@ -112,6 +112,19 @@ def test_config_loads_and_resolves_relative_paths(tmp_path):
     assert len(config.config_hash()) == 64
 
 
+def test_unknown_config_key_exits_2_before_any_model_call(math_run, capsys):
+    _, _, transcript, tmp_path = math_run
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", concurency=2)
+    with pytest.raises(ConfigError):
+        RunConfig.load(config)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'concurency'" in err[0]
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("condition", ["zigzag", "sft_cot_baseline"])
 def test_config_rejects_unknown_condition(tmp_path, condition):
     build_math_corpus(tmp_path / "c.jsonl", count=1)
@@ -169,9 +182,8 @@ def test_unknown_sft_mode_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_negative_seed_rejected_before_any_model_call(math_run):
-    _, config, transcript, tmp_path = math_run
+    _, _, transcript, tmp_path = math_run
     argv = ["eval-math", "--mock", str(transcript)]
-    assert cli_dispatch(argv + ["--config", str(config), "--seed", "-1"]) == EXIT_CONFIG
     negative = write_config(
         tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"], seed=-1
     )
@@ -483,9 +495,7 @@ def test_cli_build_sft_with_mock_teacher(tmp_path):
     config = write_config(
         tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model"
     )
-    code = cli_dispatch(
-        ["build-sft", "--config", str(config), "--mock", str(transcript), "--mode", "all"]
-    )
+    code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
     assert code == EXIT_OK
     lines = (tmp_path / "out" / "sft_corpus.jsonl").read_text().splitlines()
     assert len(lines) == 12
@@ -510,25 +520,6 @@ def test_cli_build_sft_teacher_plan_failures_exit_1_without_sft_files(tmp_path, 
     assert err[0].startswith(f"plan failed for {problems[3].id} (mock-model): ")
     assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
     assert not (tmp_path / "out" / "sft_meta.json").exists()
-
-
-def test_cli_build_sft_plans_file_missing_items_exits_2(tmp_path, capsys):
-    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
-    plans = tmp_path / "plans.jsonl"
-    plans.write_text(
-        "".join(
-            json.dumps({"item_id": p.id, "generator_model": "teacher", "text": _teacher_plan(p)})
-            + "\n"
-            for p in problems[:2]
-        )
-    )
-    config = write_config(tmp_path, tmp_path / "corpus.jsonl")
-    code = cli_dispatch(["build-sft", "--config", str(config), "--plans", str(plans)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: no plan for items: {[p.id for p in problems[2:]]}"]
-    assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
-    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
@@ -557,10 +548,8 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         ("eval-math", "--mock", None),
         ("eval-math", "--mock", "{not json\n"),
         ("probe", "--mock", json.dumps({"prompt_text": "q"}) + "\n"),
-        ("build-sft", "--plans", None),
-        ("build-sft", "--plans", json.dumps({"generator_model": "t", "text": "plan"}) + "\n"),
-        ("report", "--records", "{not json\n"),
-        ("report", "--records", json.dumps(RECORD_WITHOUT_ITEM_ID) + "\n"),
+        ("report", "records", "{not json\n"),
+        ("report", "records", json.dumps(RECORD_WITHOUT_ITEM_ID) + "\n"),
         ("eval-math", "corpus", json.dumps({"question": "q"}) + "\n"),
         ("eval-math", "corpus", json.dumps({"question": "q", "answer": "<<3+4>>\n#### 7"}) + "\n"),
         ("eval-math", "corpus", REPEATED_ID_CORPUS),
@@ -569,8 +558,6 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         "mock-missing",
         "mock-bad-json",
         "mock-no-response-text",
-        "plans-missing",
-        "plans-no-item-id",
         "records-bad-json",
         "records-no-item-id",
         "corpus-no-answer",
@@ -580,19 +567,20 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
 )
 def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
     _, config, transcript, tmp_path = math_run
-    bad = tmp_path / "bad.jsonl"
+    bad = tmp_path / "out" / "records.jsonl" if flag == "records" else tmp_path / "bad.jsonl"
+    bad.parent.mkdir(exist_ok=True)
     if content is not None:
         bad.write_text(content)
     if flag == "corpus":
         argv = [command, "--config", str(write_config(tmp_path, bad)), "--mock", str(transcript)]
-    elif flag == "--records":
-        argv = [command, flag, str(bad), "--out", str(tmp_path / "report")]
+    elif flag == "records":
+        argv = [command, "--config", str(config)]
     else:
         argv = [command, "--config", str(config), flag, str(bad)]
     assert cli_dispatch(argv) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "bad.jsonl" in err[0]
+    assert bad.name in err[0]
     if content is not None:  # each bad file goes wrong on its last line
         assert f"line {len(content.splitlines())}" in err[0]
 
@@ -617,19 +605,39 @@ def test_cli_live_run_with_bad_endpoint_url_exits_2_before_any_call(tmp_path, ca
 
 
 def test_cli_manifest_records_the_seed_the_bootstrap_used(math_run):
-    _, config, transcript, tmp_path = math_run
-    argv = ["eval-math", "--mock", str(transcript)]
-    assert cli_dispatch(argv + ["--config", str(config), "--seed", "5"]) == EXIT_OK
-    (tmp_path / "five").mkdir()
+    _, _, transcript, tmp_path = math_run
     five = write_config(
-        tmp_path / "five", tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"],
-        cache_dir=str(tmp_path / "cache"), seed=5,
+        tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"], seed=5
     )
-    assert cli_dispatch(argv + ["--config", str(five)]) == EXIT_OK
-    for out in (tmp_path / "out", tmp_path / "five" / "out"):
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
-    summaries = [(d / "out" / "summary.json").read_bytes() for d in (tmp_path, tmp_path / "five")]
-    assert summaries[0] == summaries[1]
+    assert cli_dispatch(["eval-math", "--config", str(five), "--mock", str(transcript)]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 5
+
+
+def _tool_run(tmp_path, seed):
+    tasks = build_tool_corpus(tmp_path / "tools.jsonl", count=6)
+    entries = tool_transcript_entries(tasks, degrade_direct_ids={t.id for t in tasks[::2]})
+    transcript = write_transcript(tmp_path / "t.jsonl", entries)
+    config = write_config(
+        tmp_path, tmp_path / "tools.jsonl", task="tools",
+        conditions=["direct_cot", "plan_augmented"], seed=seed,
+    )
+    return config, transcript
+
+
+def test_cli_report_records_the_seed_it_resamples_with(tmp_path):
+    config, transcript = _tool_run(tmp_path, seed=3)
+    assert cli_dispatch(["eval-tools", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    seed_3 = (out / "summary.json").read_bytes()
+    _tool_run(tmp_path, seed=11)
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+    assert read_json(out / "manifest.json")["seed"] == 11
+
+    (tmp_path / "fresh").mkdir()
+    fresh, transcript = _tool_run(tmp_path / "fresh", seed=11)
+    assert cli_dispatch(["eval-tools", "--config", str(fresh), "--mock", str(transcript)]) == EXIT_OK
+    fresh_summary = (tmp_path / "fresh" / "out" / "summary.json").read_bytes()
+    assert (out / "summary.json").read_bytes() == fresh_summary != seed_3
 
 
 def test_cli_looks_up_benchmark_hook_points_at_call_time(tmp_path, monkeypatch):
@@ -701,15 +709,46 @@ def test_cli_report_does_not_parse_the_corpus(math_run):
     assert {n: (out / n).read_bytes() for n in before} == before
 
 
-def test_cli_report_from_records_flag(math_run, tmp_path):
-    _, config, transcript, base = math_run
-    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
-    out2 = tmp_path / "replica"
-    code = cli_dispatch(
-        ["report", "--records", str(base / "out" / "records.jsonl"), "--out", str(out2)]
+def test_cli_build_sft_replays_the_plans_of_plan_from_the_cache(tmp_path, monkeypatch):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
+    transcript = write_transcript(
+        tmp_path / "t.jsonl", [(_plan_prompt(p), _teacher_plan(p)) for p in problems]
     )
-    assert code == EXIT_OK
-    assert (out2 / "report.md").exists()
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
+    assert cli_dispatch(["plan", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    made = []
+
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
+    assert cli_dispatch(["build-sft", "--config", str(config), "--mock", str(empty)]) == EXIT_OK
+    assert [t.calls for t in made] == [0]
+    lines = (tmp_path / "out" / "sft_corpus.jsonl").read_text().splitlines()
+    assert len(lines) == 2 * len(problems)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, "--seed", "5") for c in
+     ("validate", "probe", "eval-math", "eval-tools", "plan", "build-sft", "report")]
+    + [
+        ("build-sft", "--mode", "all"),
+        ("build-sft", "--plans", "plans.jsonl"),
+        ("report", "--records", "records.jsonl"),
+        ("report", "--task", "math"),
+    ],
+)
+def test_cli_removed_flags_exit_2_without_output(math_run, command, flag, value):
+    _, config, transcript, tmp_path = math_run
+    argv = [command, "--config", str(config), "--mock", str(transcript), flag, value]
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 
