@@ -1,8 +1,9 @@
 """Chat-completion gateway: OpenAI-compatible wire client on stdlib `urllib`
-with deterministic content-addressed response caching, one worker pool that
-fans out model calls and bounds them in flight, single-flight sends per
-request digest, retry with full-jitter backoff, and a scripted offline mock
-transport."""
+with deterministic content-addressed response caching, one fan-out (`map`)
+whose calling thread works the items and adds a worker for each request it
+must send, up to the one bound on requests in flight, single-flight sends
+per request digest, retry with full-jitter backoff, and a scripted offline
+mock transport."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -290,9 +291,11 @@ class Gateway:
     `<cache_dir>/<first 2 hex>/<digest>.json`; writes go to a temp file and
     are renamed into place, so concurrent workers never see torn entries.
     Identical digests imply identical requests, which makes last-writer-wins
-    safe. `map` fans calls out on `max_in_flight` worker threads; every
-    threaded caller in the package goes through it, so its pool is the one
-    bound on requests in flight.
+    safe. `map` works its items on the calling thread and adds a worker
+    thread for each request that must be sent, up to `max_in_flight`
+    workers in all, so cache hits never wait on a thread handoff. Every
+    threaded caller in the package goes through it, so `max_in_flight` is
+    the one bound on requests in flight.
 
     Concurrent misses on one digest are sent once: the first caller (the
     leader) sends and writes the cache, the others wait for its exchange or
@@ -317,6 +320,7 @@ class Gateway:
         self._sleep = sleep
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
+        self._local = threading.local()
 
     def complete(self, model: ModelSpec, messages: Sequence[Message]) -> ChatExchange:
         """Return the cached exchange for this request, or perform the call.
@@ -340,6 +344,9 @@ class Gateway:
             # already written the entry and left the table: read once more.
             exchange = self._read_cache(digest, request)
             if exchange is None:
+                grow = getattr(self._local, "grow", None)  # set by `map` on its workers
+                if grow is not None:
+                    grow()
                 response, retries = self._send_with_retry(model, request)
                 self._write_cache(digest, request, response, retries)
                 exchange = ChatExchange(request, response, digest, retry_count=retries)
@@ -353,18 +360,51 @@ class Gateway:
                 del self._flights[digest]
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        """`fn(item)` for every item on `max_in_flight` worker threads, in item
-        order. A GatewayError that `fn` raises becomes that item's result;
-        any other exception propagates."""
+        """`fn(item)` for every item, in item order. The calling thread works
+        through the items; each request that `complete` must send adds a
+        worker thread, up to `max_in_flight` workers in all, so a fully
+        cached map runs on one thread. A GatewayError that `fn` raises
+        becomes that item's result; any other exception stops the workers
+        from starting new items and is raised once they have joined."""
+        items = list(items)
+        results: list = [None] * len(items)
+        lock, threads, failures = threading.Lock(), [], []
+        cursor = 0
 
-        def call(item):
+        def work():
+            nonlocal cursor
+            saved, self._local.grow = getattr(self._local, "grow", None), grow
             try:
-                return fn(item)
-            except GatewayError as exc:
-                return exc
+                while True:
+                    with lock:
+                        if cursor >= len(items) or failures:
+                            return
+                        i, cursor = cursor, cursor + 1
+                    try:
+                        results[i] = fn(items[i])
+                    except GatewayError as exc:
+                        results[i] = exc
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                self._local.grow = saved
 
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            return list(pool.map(call, items))
+        def grow():
+            with lock:
+                if cursor < len(items) and not failures and len(threads) + 1 < self.max_in_flight:
+                    thread = threading.Thread(target=work)
+                    thread.start()
+                    threads.append(thread)
+
+        try:
+            work()
+        finally:
+            for thread in threads:  # a worker appends before it ends
+                thread.join()
+            grow = None  # `work` and `grow` refer to each other: break the cycle
+        if failures:
+            raise failures[0]
+        return results
 
     @staticmethod
     def build_request(model: ModelSpec, messages: Sequence[Message]) -> ChatRequest:

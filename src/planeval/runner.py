@@ -185,6 +185,16 @@ def build_manifest(config: RunConfig, item_count: int) -> dict:
     }
 
 
+def _manifest_keeping_inputs(config: RunConfig, item_count: int, out: Path) -> dict:
+    """`build_manifest`, with the `inputs` of the manifest in `out` it will
+    replace: the reports beside that manifest still summarize those inputs."""
+    manifest = build_manifest(config, item_count)
+    old = _read_json_object(out / "manifest.json")[0]
+    if "inputs" in old:
+        manifest["inputs"] = old["inputs"]
+    return manifest
+
+
 # --- record persistence ---------------------------------------------------
 
 
@@ -596,7 +606,7 @@ def _cmd_probe(args) -> int:
     if not probes:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
-    manifest = build_manifest(config, len(problems))
+    manifest = _manifest_keeping_inputs(config, len(problems), out)
     write_json(out / "manifest.json", manifest)
     per_model: dict[str, dict] = {}
     ungraded_total = 0
@@ -701,8 +711,10 @@ def _cmd_plan(args) -> int:
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
     planners = config.planner_specs or config.models
-    results = generate_plans(_gateway(config, args), planners, corpus)
-    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
+    gateway = _gateway(config, args)
+    manifest = _manifest_keeping_inputs(config, len(corpus), out)
+    results = generate_plans(gateway, planners, corpus)
+    write_json(out / "manifest.json", manifest)
     write_jsonl(out / "plans.jsonl", (asdict(p) for p in results.values() if isinstance(p, Plan)))
     return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
 
@@ -736,6 +748,7 @@ def _cmd_build_sft(args) -> int:
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
     teacher = config.teacher_model
+    manifest = _manifest_keeping_inputs(config, len(corpus), out)
     plans = {}
     if config.sft_mode in ("all", "plan_only"):
         if teacher is None:
@@ -751,7 +764,7 @@ def _cmd_build_sft(args) -> int:
         )
     except sftgen.AnswerLeak as exc:
         raise ConfigError(str(exc)) from exc
-    write_json(out / "manifest.json", build_manifest(config, len(corpus)))
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {corpus_path} and {meta_path}")
     return EXIT_OK
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -230,6 +232,62 @@ def test_map_propagates_errors_other_than_gateway_errors(tmp_path):
     with pytest.raises(KeyError):
         gw.map(fn, range(4))
     assert [str(e) for e in gw.map(fn, [0, 1])] == ["0", "1"]
+
+
+def test_a_fully_cached_map_runs_on_the_calling_thread_alone(tmp_path, model_spec, monkeypatch):
+    prompts = [f"p{i}" for i in range(20)]
+    gw = Gateway(tmp_path / "c", transport=MockTransport(by_prompt={p: p.upper() for p in prompts}))
+    for p in prompts:
+        gw.complete(model_spec, [user_message(p)])
+    callers = set()
+
+    def fn(p):
+        callers.add(threading.get_ident())
+        return gw.complete(model_spec, [user_message(p)])
+
+    def no_start(thread):
+        raise AssertionError("map started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    results = gw.map(fn, prompts)
+    assert callers == {threading.get_ident()}
+    assert [r.response.text for r in results] == [p.upper() for p in prompts]
+    assert all(r.cache_hit for r in results)
+
+
+class _Item:
+    def __init__(self, prompt):
+        self.prompt = prompt
+
+
+def test_map_holds_no_item_once_its_result_is_dropped(tmp_path, model_spec):
+    items = [_Item(f"p{i}") for i in range(6)]
+    refs = [weakref.ref(item) for item in items]
+    transport = MockTransport(by_prompt={item.prompt: "a" for item in items})
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=3)
+    gc.disable()
+    try:
+        results = gw.map(lambda item: gw.complete(model_spec, [user_message(item.prompt)]), items)
+        assert [r.response.text for r in results] == ["a"] * 6
+        del items, results
+        assert [ref() for ref in refs] == [None] * 6
+    finally:
+        gc.enable()
+
+
+def test_an_error_other_than_a_gateway_error_starts_no_further_item(tmp_path):
+    gw = Gateway(tmp_path / "c", transport=MockTransport(), max_in_flight=1)
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        if item == 0:
+            raise KeyError(item)
+        return item
+
+    with pytest.raises(KeyError):
+        gw.map(fn, range(4))
+    assert calls == [0]
 
 
 def test_mock_runs_are_bit_reproducible(tmp_path, model_spec):
@@ -551,13 +609,19 @@ class _HeldTransport:
 
 
 def _concurrent_misses(gw, model_spec, n):
+    """`n` concurrent `complete` calls on one request, each on its own
+    thread; a GatewayError becomes that caller's result."""
     start = threading.Barrier(n)
 
     def call(_):
         start.wait(timeout=10)
-        return gw.complete(model_spec, [user_message("same prompt")])
+        try:
+            return gw.complete(model_spec, [user_message("same prompt")])
+        except GatewayError as exc:
+            return exc
 
-    return gw.map(call, range(n))
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(call, range(n)))
 
 
 def test_concurrent_misses_on_one_digest_make_one_transport_call(tmp_path, model_spec):
@@ -583,3 +647,16 @@ def test_waiting_callers_share_the_leaders_error_and_a_later_call_retries(tmp_pa
     transport.outcome = ChatResponse(text="recovered")
     assert gw.complete(model_spec, [user_message("same prompt")]).response.text == "recovered"
     assert transport.calls == 2
+
+
+def test_a_nested_map_leaves_the_outer_map_able_to_add_workers(tmp_path, model_spec):
+    transport = _HeldTransport(2, ChatResponse(text="x"), hold=5)
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=2)
+
+    def fn(item):
+        assert gw.map(str, [item]) == [str(item)]
+        return gw.complete(model_spec, [user_message(f"p{item}")])
+
+    results = gw.map(fn, range(2))
+    assert [r.response.text for r in results] == ["x", "x"]
+    assert transport.calls == 2 and not transport.barrier.broken

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -850,6 +853,20 @@ def test_manifest_names_the_probe_summary_the_report_read(math_run):
     assert hashes[0] != hashes[1]
 
 
+def test_plan_build_sft_and_probe_keep_the_inputs_of_the_manifest_they_replace(math_run):
+    _, _, transcript, tmp_path = math_run
+    config = write_config(
+        tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"],
+        teacher_model="mock-model",
+    )
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    inputs = read_json(out / "manifest.json")["inputs"]
+    for command, codes in (("plan", (0,)), ("build-sft", (0,)), ("probe", (0, 1))):
+        assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) in codes
+        assert read_json(out / "manifest.json")["inputs"] == inputs
+
+
 def test_stored_step_distribution_does_not_change_the_report(math_run):
     problems, config, transcript, tmp_path = math_run
     out = tmp_path / "out"
@@ -930,6 +947,19 @@ def test_cli_probe_limit_takes_the_first_probes(math_run):
 )
 def test_shipped_configs_validate(name):
     assert cli_dispatch(["validate", "--config", str(REPO_CONFIGS / name)]) == EXIT_OK
+
+
+def test_python_dash_m_planeval_runs_the_cli_quietly():
+    src = str(Path(runner_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = str(REPO_CONFIGS / "tool_eval.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "planeval", "validate", "--config", config],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("config ok: task=tools")
 
 
 # --- report formatting ---------------------------------------------------------
