@@ -4,7 +4,7 @@ extraction from model text, and the single-step probe harness."""
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -259,7 +259,7 @@ def measure_p_exe(
             out_path,
             (
                 {
-                    **asdict(r),
+                    **vars(r),
                     "expected": str(r.expected),
                     "parsed": None if r.parsed is None else str(r.parsed),
                 }

@@ -25,6 +25,7 @@ from .jsonio import FormatError, atomic_open, json_line, read_jsonl, write_jsonl
 
 VALID_ROLES = ("system", "user", "assistant")
 DEFAULT_MAX_IN_FLIGHT = 8
+_O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
 class GatewayError(Exception):
@@ -314,6 +315,7 @@ class Gateway:
     ):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.cache_dir)
         self.transport = transport if transport is not None else HttpTransport()
         self.retry = retry
         self.max_in_flight = max_in_flight
@@ -419,7 +421,10 @@ class Gateway:
         )
 
     def cache_path(self, digest: str) -> Path:
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+        return Path(self._entry_path(digest))
+
+    def _entry_path(self, digest: str) -> str:
+        return f"{self._root}/{digest[:2]}/{digest}.json"
 
     def _send_with_retry(self, model: ModelSpec, request: ChatRequest) -> tuple[ChatResponse, int]:
         last_exc: GatewayError | None = None
@@ -447,17 +452,18 @@ class Gateway:
 
     def _read_cache(self, digest: str, request: ChatRequest) -> ChatExchange | None:
         try:
-            with open(self.cache_path(digest), encoding="utf-8") as fh:
-                entry = json.load(fh)
-            resp = entry["response"]
-            response = ChatResponse(
-                text=resp["text"],
-                finish_reason=resp.get("finish_reason", "stop"),
-                token_usage=resp.get("token_usage", {}),
-            )
-            retries = int(entry.get("retry_count", 0))
-        except (ValueError, KeyError, OSError):
-            return None  # missing, corrupt or unreadable entry: treat as a miss
+            fd = os.open(self._entry_path(digest), _O_READ)
+            try:
+                entry = json.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
+            finally:
+                os.close(fd)
+            resp, retries = entry["response"], entry["retry_count"]
+            text = resp["text"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None  # missing, unreadable or corrupt entry: treat as a miss
+        if not (isinstance(text, str) and text and type(retries) is int):
+            return None  # wrongly shaped entry: a miss, so it is sent and rewritten
+        response = ChatResponse(text, resp.get("finish_reason", "stop"), resp.get("token_usage", {}))
         return ChatExchange(request, response, digest, retry_count=retries, cache_hit=True)
 
     def _write_cache(
@@ -473,5 +479,5 @@ class Gateway:
             "timestamp": time.time(),
             "retry_count": retries,
         }
-        with atomic_open(self.cache_path(digest)) as fh:
+        with atomic_open(self._entry_path(digest)) as fh:
             fh.write(json_line(entry))

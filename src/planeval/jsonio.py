@@ -31,17 +31,21 @@ def atomic_open(path: str | Path):
     """Open a text file that replaces `path` when the block exits cleanly.
 
     The temp file is unique per process and thread and is removed when the
-    block raises. Text is written byte for byte, without newline translation.
+    block raises; a missing parent directory is made on demand. Text is
+    written byte for byte, without newline translation.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
 
 

@@ -9,7 +9,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
@@ -199,7 +199,7 @@ def _manifest_keeping_inputs(config: RunConfig, item_count: int, out: Path) -> d
 
 
 def save_records(records: Sequence[EvalRecord], path: Path) -> None:
-    write_jsonl(path, map(asdict, records))
+    write_jsonl(path, map(vars, records))
 
 
 def _record(obj) -> EvalRecord:
@@ -687,7 +687,7 @@ def _cmd_eval(args, task: str) -> int:
     save_records(run.records, records_path)
     failures_path = out / "failures.jsonl"
     if run.failures:
-        write_jsonl(failures_path, map(asdict, run.failures))
+        write_jsonl(failures_path, map(vars, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
     manifest = build_manifest(config, len(corpus))
@@ -715,7 +715,7 @@ def _cmd_plan(args) -> int:
     manifest = _manifest_keeping_inputs(config, len(corpus), out)
     results = generate_plans(gateway, planners, corpus)
     write_json(out / "manifest.json", manifest)
-    write_jsonl(out / "plans.jsonl", (asdict(p) for p in results.values() if isinstance(p, Plan)))
+    write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
     return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
 
 

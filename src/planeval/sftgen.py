@@ -4,7 +4,7 @@ fine-tune itself is a downstream concern and only echoed as metadata."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -127,7 +127,7 @@ def build_sft_corpus(
 def serialize_sft(records: Sequence[SftRecord], path: str | Path) -> Path:
     """Write records as JSON Lines in deterministic (source_id, kind) order."""
     ordered = sorted(records, key=lambda r: (r.source_id, r.kind))
-    return write_jsonl(path, (asdict(r) for r in ordered))
+    return write_jsonl(path, map(vars, ordered))
 
 
 def _sft_record(obj) -> SftRecord:

@@ -144,14 +144,47 @@ def test_empty_mock_response_raises(tmp_path, model_spec):
         gw.complete(model_spec, [user_message("P")])
 
 
-def test_cache_layout_and_content(tmp_path, model_spec):
+def test_cache_layout_and_content(tmp_path, model_spec, monkeypatch):
     gw = Gateway(tmp_path / "c", transport=MockTransport(by_prompt={"P": "42"}))
     exchange = gw.complete(model_spec, [user_message("P")])
     path = tmp_path / "c" / exchange.digest[:2] / f"{exchange.digest}.json"
+    assert gw.cache_path(exchange.digest) == path
     assert path.exists()
     entry = json.loads(path.read_text())
     assert set(entry) == {"request", "response", "timestamp", "retry_count"}
     assert entry["response"]["text"] == "42"
+
+    monkeypatch.chdir(tmp_path)
+    transport = MockTransport(by_prompt={"P": "42"})
+    relative = Gateway("runs/cache", transport=transport)
+    digest = relative.complete(model_spec, [user_message("P")]).digest
+    assert relative.cache_path(digest) == Path("runs/cache") / digest[:2] / f"{digest}.json"
+    assert (tmp_path / relative.cache_path(digest)).exists()
+    second = Gateway("runs/cache", transport=transport).complete(model_spec, [user_message("P")])
+    assert second.cache_hit and second.response.text == "42" and transport.calls == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        None,
+        [],
+        {"response": "x"},
+        {"response": {"text": "stale"}, "retry_count": None},
+        {"response": {"text": 5}, "retry_count": 0},
+    ],
+    ids=["null", "list", "string-response", "null-retry-count", "non-string-text"],
+)
+def test_wrongly_shaped_cache_entry_is_sent_once_and_rewritten(tmp_path, model_spec, entry):
+    transport = MockTransport(by_prompt={"P": "42"})
+    gw = Gateway(tmp_path / "c", transport=transport)
+    path = gw.cache_path(gw.complete(model_spec, [user_message("P")]).digest)
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    resent = gw.complete(model_spec, [user_message("P")])
+    assert not resent.cache_hit and resent.response.text == "42" and transport.calls == 2
+    assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "42"
+    replayed = gw.complete(model_spec, [user_message("P")])
+    assert replayed.cache_hit and replayed.response.text == "42" and transport.calls == 2
 
 
 def test_concurrent_distinct_requests_produce_uncorrupted_entries(tmp_path, model_spec):
