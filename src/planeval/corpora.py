@@ -6,6 +6,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -43,7 +44,18 @@ class MathProblem:
     gold_answer: Fraction
     calc_annotations: tuple[tuple[str, Fraction], ...]
     step_count: int
-    flags: tuple[str, ...] = ()
+
+    @cached_property
+    def flags(self) -> tuple[str, ...]:
+        """The annotation checks, run on first read: `annotation_unparsed:` or
+        `annotation_mismatch:` per annotation whose expression does not
+        re-evaluate to its annotated result (1e-6 relative), in annotation
+        order, then `no_annotations` for an item without annotations."""
+        checked = (_verify_annotation(expr, result) for expr, result in self.calc_annotations)
+        flags = [flag for flag in checked if flag]
+        if not self.calc_annotations:
+            flags.append("no_annotations")
+        return tuple(flags)
 
 
 @dataclass(frozen=True)
@@ -150,9 +162,10 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     The gold answer is the number after the final `#### ` marker (commas
     stripped); every `<<expr=result>>` span becomes one calculator
     annotation and the step count is the annotation count. Items without
-    annotations are retained with step_count 0 and flagged. Annotations
-    whose expression does not re-evaluate to the annotated result (1e-6
-    relative) are flagged, never silently fixed.
+    annotations are retained with step_count 0. The annotations are checked
+    on the first read of an item's `flags`: an item without annotations, or
+    with one whose expression does not re-evaluate to the annotated result
+    (1e-6 relative), is flagged there, never silently fixed.
     """
     problems: list[MathProblem] = []
     seen: set[str] = set()
@@ -175,7 +188,6 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
             raise FormatError(f"unparseable gold answer {final[-1]!r} in {path}", line_no) from exc
 
         annotations: list[tuple[str, Fraction]] = []
-        flags: list[str] = []
         for span in ANNOTATION_RE.findall(solution):
             if "=" not in span:
                 raise ParseError(f"annotation has no '=' in {path}", f"<<{span}>>", line_no)
@@ -187,12 +199,6 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
                     f"unparseable annotated result {result_text!r} in {path}", f"<<{span}>>", line_no
                 ) from exc
             annotations.append((expr, result))
-            flag = _verify_annotation(expr, result)
-            if flag:
-                flags.append(flag)
-
-        if not annotations:
-            flags.append("no_annotations")
         problems.append(
             MathProblem(
                 id=item_id,
@@ -201,7 +207,6 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
                 gold_answer=gold,
                 calc_annotations=tuple(annotations),
                 step_count=len(annotations),
-                flags=tuple(flags),
             )
         )
     return problems

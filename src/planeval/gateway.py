@@ -131,6 +131,10 @@ def _request_payload(request: ChatRequest) -> dict:
     }
 
 
+# Built once: `json.dumps` with any option builds a new encoder per call.
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+
+
 def canonical_request(request: ChatRequest) -> str:
     """Canonical JSON form of a request: sorted keys, no insignificant
     whitespace, floats in shortest round-trip decimal form.
@@ -138,9 +142,7 @@ def canonical_request(request: ChatRequest) -> str:
     Operational knobs (timeout, retry policy, endpoint) are deliberately not
     part of the canonical form so they never invalidate caches.
     """
-    return json.dumps(
-        _request_payload(request), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    return _encode_canonical(_request_payload(request))
 
 
 def cache_key(request: ChatRequest) -> str:
@@ -240,26 +242,35 @@ class MockTransport:
         self,
         by_digest: Mapping[str, str] | None = None,
         by_prompt: Mapping[str, str] | None = None,
+        transcript: str | Path | None = None,
     ):
         self._by_digest = dict(by_digest or {})
         self._by_prompt = dict(by_prompt or {})
+        self._transcript = transcript  # parsed into the maps at the first send
+        self._error: FormatError | None = None
         self._calls = 0
         self._lock = threading.Lock()
 
     @classmethod
     def load(cls, path: str | Path) -> "MockTransport":
-        by_digest: dict[str, str] = {}
-        by_prompt: dict[str, str] = {}
+        """A transport over the transcript file at `path`. The file is opened
+        here, so a missing or unreadable one fails at once; its lines are
+        parsed at the first send, so a run that sends nothing never parses
+        them, and a malformed line raises FormatError from every send."""
+        with open(path, "rb"):
+            pass
+        return cls(transcript=path)
+
+    def _parse(self, path: str | Path) -> None:
         for line_no, obj in read_jsonl(path):
             if not isinstance(obj, dict) or "response_text" not in obj:
                 raise FormatError(f"no response_text in transcript {path}", line_no)
             if "prompt_digest" in obj:
-                by_digest[obj["prompt_digest"]] = obj["response_text"]
+                self._by_digest[obj["prompt_digest"]] = obj["response_text"]
             elif "prompt_text" in obj:
-                by_prompt[obj["prompt_text"]] = obj["response_text"]
+                self._by_prompt[obj["prompt_text"]] = obj["response_text"]
             else:
                 raise FormatError(f"no prompt_digest or prompt_text in {path}", line_no)
-        return cls(by_digest, by_prompt)
 
     @property
     def calls(self) -> int:
@@ -269,6 +280,14 @@ class MockTransport:
     def send(self, model: ModelSpec, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self._calls += 1
+            if self._transcript is not None:
+                path, self._transcript = self._transcript, None
+                try:
+                    self._parse(path)
+                except FormatError as exc:
+                    self._error = exc  # raised again by every later send
+        if self._error is not None:
+            raise self._error.with_traceback(None)
         digest = cache_key(request)
         if digest in self._by_digest:
             return ChatResponse(text=self._by_digest[digest])

@@ -49,9 +49,14 @@ def atomic_open(path: str | Path):
         raise
 
 
+# Built once: `json.dumps` with any option builds a new encoder per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_encode_document = json.JSONEncoder(ensure_ascii=False, sort_keys=True, indent=2).encode
+
+
 def json_line(obj) -> str:
     """The JSON Lines form of one row, without the newline."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return _encode_line(obj)
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> Path:
@@ -63,7 +68,7 @@ def write_jsonl(path: str | Path, rows: Iterable) -> Path:
 
 def write_json(path: str | Path, obj) -> Path:
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+        fh.write(_encode_document(obj) + "\n")
     return Path(path)
 
 

@@ -316,8 +316,8 @@ def generate_plans(
 ) -> dict[tuple[ModelSpec, int], Plan | GatewayError]:
     """Round1 once per (planner, item position), in planner-major, item order.
 
-    Each value is the plan or the GatewayError that ended its call. Keys use
-    the item's position because item ids are not checked for uniqueness.
+    Each value is the plan or the GatewayError that ended its call, keyed
+    by the item's position in `corpus`.
     """
     keys = [(planner, pos) for planner in dict.fromkeys(planners) for pos in range(len(corpus))]
     plans = gateway.map(lambda key: generate_plan(gateway, key[0], corpus[key[1]]), keys)

@@ -7,6 +7,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -39,6 +40,7 @@ from .scoring import (
     TOOL_STEP_BUCKETS,
     BucketTable,
     Condition,
+    DegenerateInput,
     EvalRecord,
     FitResult,
     bucket_by_steps,
@@ -607,7 +609,6 @@ def _cmd_probe(args) -> int:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
     manifest = _manifest_keeping_inputs(config, len(problems), out)
-    write_json(out / "manifest.json", manifest)
     per_model: dict[str, dict] = {}
     ungraded_total = 0
     for model in config.models:
@@ -618,6 +619,7 @@ def _cmd_probe(args) -> int:
             "graded": len(run.results),
             "ungraded": len(run.ungraded),
         }
+    write_json(out / "manifest.json", manifest)
     payload = {
         "models": per_model,
         "probe_count": len(probes),
@@ -720,21 +722,35 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    points = []
+    """Fit x,y rows of a CSV file; a first row that does not parse is its header."""
+    path, points = args.points, []
     try:
-        with open(args.points, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or len(row) < 2:
-                    continue
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = (row for row in reader if any(cell.strip() for cell in row))
+            for k, row in enumerate(rows):
                 try:
-                    points.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    continue  # header row
+                    x, y = float(row[0]), float(row[1])
+                except (IndexError, ValueError):
+                    if k == 0:
+                        continue
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: not an x,y row: {','.join(row)!r}"
+                    ) from None
+                if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: x and y must be finite and positive, "
+                        f"got {row[0]},{row[1]}"
+                    )
+                points.append((x, y))
     except OSError as exc:
         raise ConfigError(f"cannot read points file: {exc}") from exc
     if len(points) < 3:
-        raise ConfigError(f"need at least 3 points, got {len(points)}")
-    fit = fit_power_and_linear(points)
+        raise ConfigError(f"{path}: need at least 3 points, got {len(points)}")
+    try:
+        fit = fit_power_and_linear(points)
+    except DegenerateInput as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     print(f"power:  y = {fit.c:.6g} * x^{fit.a:.6g}   sse={fit.sse_power:.6g} r2={fit.r2_power:.4f}")
     print(f"linear: y = {fit.b0:.6g} + {fit.b1:.6g}x   sse={fit.sse_linear:.6g} r2={fit.r2_linear:.4f}")
     print(f"power fit closer: {str(fit.sse_power < fit.sse_linear).lower()}")

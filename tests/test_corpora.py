@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GSM8K_TEST_PATH, requires_gsm8k
 from helpers import build_math_corpus, make_tool_lines, write_gsm8k_file, write_tool_file
+from planeval import arith
 from planeval.corpora import (
     EmptyInput,
     FormatError,
@@ -151,6 +152,52 @@ def test_extract_probes_empty_input():
     assert extraction.skipped == ()
 
 
+FLAGGED_LINES = [
+    {"id": "exact", "question": "q", "answer": "<<3+4=7>> <<7*2=14>>\n#### 14"},
+    {"id": "off", "question": "q", "answer": "<< 3 - 2 =5>> <<2+&3=5>> <<1/0=1>> <<2*3=6>>\n#### 6"},
+    {"id": "none", "question": "q", "answer": "no steps\n#### 3"},
+    {"id": "near", "question": "q", "answer": "<<1/3=0.3333333>>\n#### 0.3333333"},
+]
+
+
+def _count_evaluations(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    real = arith.eval_expr
+
+    def counting(expression):
+        calls.append(expression)
+        return real(expression)
+
+    monkeypatch.setattr(arith, "eval_expr", counting)
+    return calls
+
+
+def test_load_evaluates_no_annotation_and_flags_check_them_on_first_read(tmp_path, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    problems = load_gsm8k(_write(tmp_path / "m.jsonl", FLAGGED_LINES))
+    assert calls == []
+    assert {p.id: p.flags for p in problems} == {
+        "exact": (),
+        "off": ("annotation_mismatch:3 - 2", "annotation_unparsed:2+&3", "annotation_unparsed:1/0"),
+        "none": ("no_annotations",),
+        "near": (),
+    }
+    assert len(calls) == 7  # one per annotation
+    assert problems[1].flags[0] == "annotation_mismatch:3 - 2"
+    assert len(calls) == 7  # a second read is cached
+
+
+def test_probe_extraction_after_load_evaluates_each_expression_once(tmp_path, monkeypatch):
+    lines = [
+        {"id": "a", "question": "q", "answer": "<<3+4=7>> <<7*2=14>>\n#### 14"},
+        {"id": "b", "question": "q", "answer": "<<3 + 4=7>> <<7-1=6>>\n#### 6"},
+    ]
+    path = _write(tmp_path / "m.jsonl", lines)
+    calls = _count_evaluations(monkeypatch)
+    extraction = extract_probes(load_gsm8k(path))
+    assert sorted(calls) == sorted(p.expression for p in extraction.probes) == ["3+4", "7*2", "7-1"]
+
+
 def test_extract_probes_value_comes_from_evaluator_not_annotation(tmp_path):
     path = _write(tmp_path / "m.jsonl", [{"question": "q", "answer": "<<2+2=5>>\n#### 5"}])
     extraction = extract_probes(load_gsm8k(path))
@@ -165,7 +212,6 @@ def test_extract_probes_reports_unparseable(tmp_path):
         gold_answer=Fraction(1),
         calc_annotations=(("2+&3", Fraction(5)),),
         step_count=1,
-        flags=(),
     )
     extraction = extract_probes([item])
     assert extraction.probes == ()
@@ -182,7 +228,6 @@ def test_step_distribution_counts():
             gold_answer=Fraction(1),
             calc_annotations=tuple(("1+1", Fraction(2)) for _ in range(n)),
             step_count=n,
-            flags=(),
         )
 
     dist = step_distribution([problem(0, 2), problem(1, 2), problem(2, 4)])
@@ -199,8 +244,8 @@ def test_step_distribution_counts():
 
 def test_step_distribution_excludes_flagged_zero_step_items():
     items = [
-        MathProblem("a", "q", "s", Fraction(1), (("1+1", Fraction(2)),), 1, ()),
-        MathProblem("b", "q", "s", Fraction(1), (), 0, ("no_annotations",)),
+        MathProblem("a", "q", "s", Fraction(1), (("1+1", Fraction(2)),), 1),
+        MathProblem("b", "q", "s", Fraction(1), (), 0),
     ]
     dist = step_distribution(items)
     assert dist.mass == {1: 1.0}

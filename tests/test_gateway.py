@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import planeval
+import planeval.gateway as gateway_module
 from planeval.gateway import (
     ApiError,
     ChatRequest,
@@ -30,12 +31,14 @@ from planeval.gateway import (
     RetryPolicy,
     TranscriptMiss,
     TransportError,
+    _request_payload,
     cache_key,
     canonical_request,
     parse_retry_after,
     user_message,
     write_transcript,
 )
+from planeval.jsonio import FormatError, read_jsonl
 
 # Pinned once via an external sha256sum over the canonical form below.
 GOLDEN_CANONICAL = (
@@ -135,6 +138,65 @@ def test_transcript_file_roundtrip(tmp_path, model_spec):
     transport = MockTransport.load(path)
     gw = Gateway(tmp_path / "c", transport=transport)
     assert gw.complete(model_spec, [user_message("P")]).response.text == "resp"
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("{not json", "invalid JSON"),
+    ('{"prompt_text": "Q"}', "no response_text"),
+    ('{"response_text": "A"}', "no prompt_digest or prompt_text"),
+])
+def test_malformed_transcript_loads_and_every_send_raises_its_line(tmp_path, model_spec, bad_line, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"prompt_text": "P", "response_text": "ok"}\n\n' + bad_line + "\n")
+    transport = MockTransport.load(path)
+    request = Gateway.build_request(model_spec, [user_message("P")])
+    for _ in range(2):
+        with pytest.raises(FormatError) as err:
+            transport.send(model_spec, request)
+        assert err.value.line_no == 3
+        assert str(err.value).startswith("line 3: ") and message in str(err.value)
+        assert str(path) in str(err.value)
+    assert transport.calls == 2
+
+
+def test_missing_transcript_fails_at_load(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        MockTransport.load(tmp_path / "missing.jsonl")
+
+
+def test_transcript_is_parsed_once_at_the_first_send(tmp_path, model_spec, monkeypatch):
+    path = write_transcript(tmp_path / "t.jsonl", [(f"P{i}", f"A{i}") for i in range(20)])
+    parsed = []
+    monkeypatch.setattr(gateway_module, "read_jsonl", lambda p: parsed.append(p) or read_jsonl(p))
+    transport = MockTransport.load(path)
+    assert parsed == []
+    gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=8)
+    texts = gw.map(lambda i: gw.complete(model_spec, [user_message(f"P{i}")]).response.text, range(20))
+    assert texts == [f"A{i}" for i in range(20)]
+    assert parsed == [path]
+    assert transport.calls == 20
+
+
+def test_map_raises_a_malformed_transcript_from_its_first_send(tmp_path, model_spec):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"prompt_text": "P0", "response_text": "A0"}\n{"prompt_text": "P1"}\n')
+    gw = Gateway(tmp_path / "c", transport=MockTransport.load(path), max_in_flight=4)
+    with pytest.raises(FormatError) as err:
+        gw.map(lambda i: gw.complete(model_spec, [user_message(f"P{i}")]), range(8))
+    assert err.value.line_no == 2
+    assert not any((tmp_path / "c").rglob("*.json"))
+
+
+def test_canonical_request_matches_json_dumps():
+    request = ChatRequest(
+        model="modèle-β",
+        messages=(Message("system", "Réponds en français ✓"), user_message("2.5 × 4 = ?   ok")),
+        temperature=0.7,
+        max_tokens=17,
+    )
+    assert canonical_request(request) == json.dumps(
+        _request_payload(request), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
 
 
 def test_empty_mock_response_raises(tmp_path, model_spec):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from planeval.jsonio import atomic_open, read_jsonl, write_json, write_jsonl
+from planeval.jsonio import atomic_open, json_line, read_jsonl, write_json, write_jsonl
 
 
 def test_atomic_open_keeps_old_file_and_no_temp_when_writer_raises(tmp_path):
@@ -30,3 +32,19 @@ def test_atomic_open_that_raises_in_a_missing_directory_leaves_no_temp_file(tmp_
             raise RuntimeError("writer failed")
     assert not path.exists()
     assert list(path.parent.iterdir()) == []
+
+
+def test_write_json_matches_json_dumps_document_form(tmp_path):
+    doc = {"é": [1.5, 0.1 + 0.2, {"日本": None}], "a": {"z": [], "b": "✓"}, "n": 10**20}
+    path = write_json(tmp_path / "doc.json", doc)
+    want = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_json_line_matches_json_dumps_line_form():
+    rows = [
+        {"z": "naïve — 日本語 ✓", "a": [1.5, 1e-7, 0.1 + 0.2, -0.0, 1e21, 3], "m": {"y": None, "b": True}},
+        [{"nested": [{"deep": "é"}], "n": float("nan")}, "line\u2028break", 12345678901234567890],
+    ]
+    for row in rows:
+        assert json_line(row) == json.dumps(row, ensure_ascii=False, sort_keys=True)

@@ -488,6 +488,42 @@ def test_cli_fit_rejects_too_few_points(tmp_path):
     assert cli_dispatch(["fit", "--points", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        ("x,y\n0.5,0.4\n0.6,0.5\n0,0.6\n0.8,0.7\n", 4),
+        ("x,y\n0.5,0.4\n0.6,-0.5\n0.7,0.6\n", 3),
+        ("x,y\n0.5,0.4\n0.6,nan\n0.7,0.6\n0.8,0.7\n", 3),
+        ("x,y\n0.5,0.4\n0.6,oops\n0.7,0.6\n0.8,0.7\n", 3),
+        ("x,y\n0.5,0.4\n0.5,0.5\n0.5,0.6\n", None),
+    ],
+    ids=["x-zero", "y-negative", "nan", "malformed-row", "all-x-equal"],
+)
+def test_cli_fit_bad_points_exit_2_with_one_line(tmp_path, capsys, content, line):
+    path = tmp_path / "points.csv"
+    path.write_text(content)
+    assert cli_dispatch(["fit", "--points", str(path), "--out", str(tmp_path / "fit")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    if line is not None:
+        assert f"line {line}:" in err[0]
+    assert captured.out == ""
+    assert not (tmp_path / "fit").exists()
+
+
+def test_cli_fit_reads_points_with_or_without_a_header(tmp_path, capsys):
+    shipped = REPO_CONFIGS / "fit_points_exe_vs_plan.csv"
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n" + shipped.read_text().split("\n", 1)[1] + "\n\n")
+    outputs = []
+    for points in (shipped, bare):
+        out = tmp_path / points.stem
+        assert cli_dispatch(["fit", "--points", str(points), "--out", str(out)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, (out / "fit.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_build_sft_with_mock_teacher(tmp_path):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
     plan_entries = [
@@ -931,6 +967,55 @@ def test_cli_probe_limit_takes_the_first_probes(math_run):
     argv = ["probe", "--config", str(config), "--mock", str(transcript), "--limit", "2"]
     assert cli_dispatch(argv) == EXIT_OK
     assert read_json(tmp_path / "out" / "probe_summary.json")["probe_count"] == 2
+
+
+MALFORMED_TRANSCRIPT = json.dumps({"prompt_text": "q", "response_text": "a"}) + "\n{not json\n"
+
+
+def _files(directory: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["probe", "eval-math", "plan"])
+def test_malformed_transcript_on_a_cold_cache_exits_2_and_changes_no_output(math_run, capsys, command):
+    problems, config, _, tmp_path = math_run
+    full = write_transcript(
+        tmp_path / "full.jsonl", math_transcript_entries(problems) + probe_entries(problems)
+    )
+    for step in ("probe", "eval-math", "plan"):
+        assert cli_dispatch([step, "--config", str(config), "--mock", str(full)]) == EXIT_OK
+    cache = tmp_path / "cache"
+    for entry in cache.glob("*/*.json"):
+        entry.unlink()
+    before = _files(tmp_path / "out")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(MALFORMED_TRANSCRIPT)
+    capsys.readouterr()
+    assert cli_dispatch([command, "--config", str(config), "--mock", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: ") and str(bad) in err[0]
+    assert _files(tmp_path / "out") == before
+    assert not list(cache.glob("*/*.json"))
+
+
+def test_eval_over_a_warm_cache_sends_nothing_and_never_parses_the_transcript(math_run, monkeypatch):
+    _, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    before = {p: data for p, data in _files(out).items() if p.name != "manifest.json"}
+    made = []
+
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(MALFORMED_TRANSCRIPT)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(bad)]) == EXIT_OK
+    assert [t.calls for t in made] == [0]
+    assert {p: data for p, data in _files(out).items() if p.name != "manifest.json"} == before
 
 # --- shipped fixtures validate as-is ------------------------------------------
 
