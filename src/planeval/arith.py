@@ -68,11 +68,14 @@ def _tokenize(expression: str) -> list[str]:
     return tokens
 
 
-def _to_fraction(literal: str) -> Fraction:
-    # "3." is a valid decimal literal; Fraction() rejects the bare trailing dot
-    if literal.endswith("."):
-        literal = literal[:-1]
-    return Fraction(literal)
+def parse_decimal(text: str) -> Fraction:
+    """Exact value of a number literal, thousands commas ignored: the value
+    of `Fraction(text)` without its commas, or the same exception. A run of
+    ASCII digits alone skips `Fraction`'s string parser."""
+    text = text.replace(",", "")
+    if text.isascii() and text.isdigit():
+        return Fraction(int(text))
+    return Fraction(text)
 
 
 class _Parser:
@@ -135,7 +138,7 @@ class _Parser:
             self.take()
             return value
         if tok and (tok[0].isdigit() or tok[0] == "."):
-            return _to_fraction(tok)
+            return parse_decimal(tok)
         raise ExpressionSyntaxError(f"unexpected token {tok!r}")
 
 
@@ -169,24 +172,21 @@ def parse_model_number(text: str) -> Fraction | None:
     """
     if not text:
         return None
+    token = None
     markers = list(_ANSWER_MARKER.finditer(text))
     if markers:
-        tail = text[markers[-1].end():]
-        m = _ANSWER_NUMBER.search(tail)
+        m = _ANSWER_NUMBER.search(text, markers[-1].end())
         if m:
-            return _clean_number(m.group(0))
-    matches = _ANSWER_NUMBER.findall(text)
-    if matches:
-        return _clean_number(matches[-1])
-    return None
-
-
-def _clean_number(token: str) -> Fraction | None:
-    token = token.replace(",", "").strip()
+            token = m.group(0)
+    if token is None:
+        matches = _ANSWER_NUMBER.findall(text)
+        if not matches:
+            return None
+        token = matches[-1]
     try:
-        return Fraction(token)
+        return parse_decimal(token)
     except (ValueError, ZeroDivisionError):
-        return None
+        return None  # e.g. more digits than `int` converts
 
 
 def grade_number(parsed: Fraction | None, expected: Fraction) -> bool:
@@ -194,8 +194,10 @@ def grade_number(parsed: Fraction | None, expected: Fraction) -> bool:
     1e-6 relative error."""
     if parsed is None:
         return False
+    if parsed == expected:
+        return True
     if expected.denominator == 1:
-        return parsed == expected
+        return False
     return abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
 
 

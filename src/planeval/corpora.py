@@ -151,11 +151,6 @@ class ToolLoadResult:
     drop_reasons: Mapping[str, int]
 
 
-def _parse_decimal(text: str) -> Fraction:
-    cleaned = text.replace(",", "").replace("$", "").strip().rstrip(".")
-    return Fraction(cleaned)
-
-
 def load_gsm8k(path: str | Path) -> list[MathProblem]:
     """Load math items from JSON Lines with `question` and `answer` fields.
 
@@ -183,7 +178,7 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
         if not final:
             raise FormatError(f"missing #### answer marker in {path}", line_no)
         try:
-            gold = _parse_decimal(final[-1])
+            gold = arith.parse_decimal(final[-1].replace("$", "").strip().rstrip("."))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"unparseable gold answer {final[-1]!r} in {path}", line_no) from exc
 
@@ -193,7 +188,7 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
                 raise ParseError(f"annotation has no '=' in {path}", f"<<{span}>>", line_no)
             expr, result_text = span.rsplit("=", 1)
             try:
-                result = _parse_decimal(result_text)
+                result = arith.parse_decimal(result_text.replace("$", "").strip().rstrip("."))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(
                     f"unparseable annotated result {result_text!r} in {path}", f"<<{span}>>", line_no

@@ -131,18 +131,28 @@ def _request_payload(request: ChatRequest) -> dict:
     }
 
 
-# Built once: `json.dumps` with any option builds a new encoder per call.
-_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+# The C string encoder that `json.dumps(..., ensure_ascii=False)` uses.
+_encode_str = json.encoder.encode_basestring
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # `json`'s spellings
 
 
 def canonical_request(request: ChatRequest) -> str:
     """Canonical JSON form of a request: sorted keys, no insignificant
-    whitespace, floats in shortest round-trip decimal form.
+    whitespace, floats in shortest round-trip decimal form. It is assembled
+    directly from the fields and equals `json.dumps(_request_payload(request),
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False)`.
 
     Operational knobs (timeout, retry policy, endpoint) are deliberately not
     part of the canonical form so they never invalidate caches.
     """
-    return _encode_canonical(_request_payload(request))
+    enc = _encode_str
+    messages = ",".join([f'{{"content":{enc(m.content)},"role":{enc(m.role)}}}' for m in request.messages])
+    temperature = repr(float(request.temperature))
+    temperature = _NONFINITE.get(temperature, temperature)
+    return (
+        f'{{"max_tokens":{int(request.max_tokens)},"messages":[{messages}],'
+        f'"model":{enc(request.model)},"temperature":{temperature}}}'
+    )
 
 
 def cache_key(request: ChatRequest) -> str:
@@ -473,9 +483,11 @@ class Gateway:
         try:
             fd = os.open(self._entry_path(digest), _O_READ)
             try:
-                entry = json.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
+                raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
             finally:
                 os.close(fd)
+            # The decode `json.loads` makes of bytes, without its encoding sniff.
+            entry = json.loads(raw.decode("utf-8", "surrogatepass"))
             resp, retries = entry["response"], entry["retry_count"]
             text = resp["text"]
         except (OSError, ValueError, KeyError, TypeError):

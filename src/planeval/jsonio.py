@@ -72,18 +72,31 @@ def write_json(path: str | Path, obj) -> Path:
     return Path(path)
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a UTF-8 text file, numbered
+    as text mode splits them. A line holding bytes that are not UTF-8 raises
+    FormatError with its number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # fails on the surrogates that stand for undecodable bytes
+                except UnicodeEncodeError:
+                    raise FormatError(f"not UTF-8 text in {path}", line_no) from None
+            yield line_no, line
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield (line number, parsed object) for each nonblank line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON in {path} ({exc.msg})", line_no) from exc
-            yield line_no, obj
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON in {path} ({exc.msg})", line_no) from exc
+        yield line_no, obj
 
 
 def read_rows(path: str | Path, kind: str, build) -> Iterator:

@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Sequence
 
@@ -40,7 +40,7 @@ class PromptTemplate:
     name: str
     body: str
 
-    @property
+    @cached_property
     def placeholders(self) -> tuple[str, ...]:
         seen: list[str] = []
         for m in _PLACEHOLDER_RE.finditer(self.body):
@@ -209,9 +209,10 @@ def _lint_text(text: str, item: MathProblem | ToolTask) -> list[str]:
 
 
 def _grade_math(response_text: str, item: MathProblem) -> tuple[float, tuple[str, ...]]:
-    if parse_model_number(response_text) is None:
+    parsed = parse_model_number(response_text)
+    if parsed is None:
         return 0.0, ("unparseable_response",)
-    return (1.0 if check_math_answer(response_text, item.gold_answer) else 0.0), ()
+    return (1.0 if check_math_answer(parsed, item.gold_answer) else 0.0), ()
 
 
 def _grade_tool(response_text: str, item: ToolTask) -> tuple[float, tuple[str, ...]]:

@@ -27,7 +27,7 @@ from .corpora import (
     step_distribution,
 )
 from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
-from .jsonio import FormatError, atomic_open, read_rows, write_json, write_jsonl
+from .jsonio import FormatError, atomic_open, read_lines, read_rows, write_json, write_jsonl
 from .planflow import (
     Plan,
     expand_matrix,
@@ -725,24 +725,23 @@ def _cmd_fit(args) -> int:
     """Fit x,y rows of a CSV file; a first row that does not parse is its header."""
     path, points = args.points, []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = (row for row in reader if any(cell.strip() for cell in row))
-            for k, row in enumerate(rows):
-                try:
-                    x, y = float(row[0]), float(row[1])
-                except (IndexError, ValueError):
-                    if k == 0:
-                        continue
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: not an x,y row: {','.join(row)!r}"
-                    ) from None
-                if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: x and y must be finite and positive, "
-                        f"got {row[0]},{row[1]}"
-                    )
-                points.append((x, y))
+        reader = csv.reader(line for _, line in read_lines(path))
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        for k, row in enumerate(rows):
+            try:
+                x, y = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                if k == 0:
+                    continue
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: not an x,y row: {','.join(row)!r}"
+                ) from None
+            if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: x and y must be finite and positive, "
+                    f"got {row[0]},{row[1]}"
+                )
+            points.append((x, y))
     except OSError as exc:
         raise ConfigError(f"cannot read points file: {exc}") from exc
     if len(points) < 3:

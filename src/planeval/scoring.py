@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arith import REL_TOLERANCE, parse_model_number
+from .arith import REL_TOLERANCE, parse_decimal, parse_model_number
 from .corpora import StepDistribution, ToolCall
 
 MATH_STEP_BUCKETS = (2, 3, 4, 5, 6)
@@ -104,17 +104,19 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    return Fraction(str(value).replace(",", ""))
+    return parse_decimal(str(value))
 
 
-def check_math_answer(response: str, gold) -> bool:
+def check_math_answer(response: str | Fraction | None, gold) -> bool:
     """Numeric equality of the extracted answer against gold, within 1e-6
-    relative tolerance. Unparseable responses are simply wrong."""
-    parsed = parse_model_number(response)
+    relative tolerance. `response` is the model text, or the number that
+    `parse_model_number` already extracted from it (None when it found
+    none). Unparseable responses are simply wrong."""
+    parsed = parse_model_number(response) if isinstance(response, str) else response
     if parsed is None:
         return False
     expected = _as_fraction(gold)
-    return abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
+    return parsed == expected or abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
 
 
 def exe_acc(p_exe: float, dist: StepDistribution) -> float:

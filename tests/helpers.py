@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 from planeval.corpora import load_gsm8k, load_toolbench
@@ -18,6 +20,29 @@ MATH_PLAN_TEXT = (
     "then we should work through each phase in order, and finally we should "
     "combine the phase results into the total."
 )
+
+
+def count_calls(fn, targets: dict) -> tuple[object, Counter]:
+    """`fn()` run on this thread, and how often it called each of `targets`
+    (name -> Python function or builtin), directly or nested, counted by
+    name. Calls are matched by code object or identity, so a bound method
+    built before the call counts too."""
+    by_code = {t.__code__: name for name, t in targets.items() if hasattr(t, "__code__")}
+    by_id = {id(t): name for name, t in targets.items() if not hasattr(t, "__code__")}
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in by_code:
+            counts[by_code[frame.f_code]] += 1
+        elif event == "c_call" and id(arg) in by_id:
+            counts[by_id[id(arg)]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 def make_math_lines(count: int = 20) -> list[dict]:

@@ -13,6 +13,7 @@ from planeval.arith import (
     grade_number,
     measure_p_exe,
     normalize_expression,
+    parse_decimal,
     parse_model_number,
 )
 from planeval.corpora import ArithmeticProbe
@@ -179,6 +180,26 @@ def test_parse_negative_and_decimal():
 def test_parse_no_number_returns_none():
     assert parse_model_number("I cannot solve this.") is None
     assert parse_model_number("") is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "007", "1,350", "-3.5", "+5", "3.", ".5", " 12 ", "1/4", "1/0", "", "²", "٣", "12٣", "5" * 5000],
+    ids=lambda text: text if len(text) < 20 else f"{len(text)}-digits",
+)
+def test_parse_decimal_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text.replace(",", ""))
+    except Exception as exc:  # the class is what must agree
+        with pytest.raises(type(exc)):
+            parse_decimal(text)
+    else:
+        value = parse_decimal(text)
+        assert type(value) is Fraction and value == expected
+
+
+def test_parse_model_number_is_none_for_a_token_too_long_for_int():
+    assert parse_model_number("The final answer is: " + "9" * 5000) is None
 
 
 # --- grading

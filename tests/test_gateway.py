@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -13,10 +14,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import planeval
 import planeval.gateway as gateway_module
+from helpers import count_calls
 from planeval.gateway import (
     ApiError,
     ChatRequest,
@@ -31,6 +33,7 @@ from planeval.gateway import (
     RetryPolicy,
     TranscriptMiss,
     TransportError,
+    VALID_ROLES,
     _request_payload,
     cache_key,
     canonical_request,
@@ -187,16 +190,42 @@ def test_map_raises_a_malformed_transcript_from_its_first_send(tmp_path, model_s
     assert not any((tmp_path / "c").rglob("*.json"))
 
 
-def test_canonical_request_matches_json_dumps():
+_EDGE_MESSAGES = [
+    ("system", '"quoted" and \\back\\slashed'),
+    ("user", "tab\tnewline\ncr\rnul\x00bell\x07del\x7f"),
+    ("assistant", "non-BMP 𝔘 🧮, é and \u2028\u2029"),
+]
+
+
+@given(
+    model=st.text(),
+    messages=st.lists(st.tuples(st.sampled_from(VALID_ROLES), st.text()), min_size=1, max_size=4),
+    temperature=st.sampled_from([0, 0.0, 0.7, 1e-05, 2, 2.0, 1, -0.0, float("nan"), float("inf"), float("-inf")]),
+    max_tokens=st.integers(min_value=1, max_value=10**6),
+)
+@example(model="modèle-β", messages=_EDGE_MESSAGES, temperature=float("nan"), max_tokens=17)
+@example(model="m", messages=_EDGE_MESSAGES, temperature=float("inf"), max_tokens=17)
+@example(model="m", messages=_EDGE_MESSAGES, temperature=float("-inf"), max_tokens=17)
+def test_canonical_request_matches_json_dumps(model, messages, temperature, max_tokens):
+    # built directly: ModelSpec would refuse a temperature outside [0, 2]
     request = ChatRequest(
-        model="modèle-β",
-        messages=(Message("system", "Réponds en français ✓"), user_message("2.5 × 4 = ?   ok")),
-        temperature=0.7,
-        max_tokens=17,
+        model=model,
+        messages=tuple(Message(role, content) for role, content in messages),
+        temperature=temperature,
+        max_tokens=max_tokens,
     )
     assert canonical_request(request) == json.dumps(
         _request_payload(request), sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
+
+
+def test_a_replayed_request_reads_parses_and_hashes_once_and_encodes_nothing(tmp_path, model_spec):
+    gw = Gateway(tmp_path / "c", transport=MockTransport(by_prompt={"P": "42"}))
+    gw.complete(model_spec, [user_message("P")])
+    targets = {"open": os.open, "loads": json.loads, "sha256": hashlib.sha256, "encode": json.JSONEncoder.encode}
+    exchange, calls = count_calls(lambda: gw.complete(model_spec, [user_message("P")]), targets)
+    assert exchange.cache_hit and exchange.response.text == "42"
+    assert calls == {"open": 1, "loads": 1, "sha256": 1}
 
 
 def test_empty_mock_response_raises(tmp_path, model_spec):

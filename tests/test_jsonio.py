@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planeval.jsonio import atomic_open, json_line, read_jsonl, write_json, write_jsonl
+from planeval.jsonio import FormatError, atomic_open, json_line, read_jsonl, write_json, write_jsonl
 
 
 def test_atomic_open_keeps_old_file_and_no_temp_when_writer_raises(tmp_path):
@@ -48,3 +48,12 @@ def test_json_line_matches_json_dumps_line_form():
     ]
     for row in rows:
         assert json_line(row) == json.dumps(row, ensure_ascii=False, sort_keys=True)
+
+
+def test_read_jsonl_decodes_text_across_read_buffers_and_numbers_a_line_that_is_not_utf8(tmp_path):
+    rows = [{"t": "é🧮" * n} for n in range(1, 600, 7)]  # multibyte characters straddle the buffers
+    path = write_jsonl(tmp_path / "rows.jsonl", rows)
+    assert [obj for _, obj in read_jsonl(path)] == rows
+    path.write_bytes(path.read_bytes() + b'{"t": "\xc3"}\n{"t": "ok"}\n')  # a truncated sequence
+    with pytest.raises(FormatError, match=f"line {len(rows) + 1}: not UTF-8 text in "):
+        list(read_jsonl(path))

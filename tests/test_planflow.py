@@ -7,10 +7,12 @@ import pytest
 from helpers import (
     MATH_PLAN_TEXT,
     build_math_corpus,
+    count_calls,
     build_tool_corpus,
     math_transcript_entries,
     tool_transcript_entries,
 )
+from planeval.arith import parse_model_number
 from planeval.corpora import MathProblem, ToolCall
 from planeval.gateway import Gateway, MockTransport, ModelSpec, cache_key, user_message
 from planeval.planflow import (
@@ -297,6 +299,23 @@ def test_matrix_two_calls_per_item_under_plan_condition(tmp_path, mock_gateway_f
     run = run_condition_matrix(gateway, [model_spec], [], problems, ["plan_augmented"])
     assert len(run.records) == 7
     assert transport.calls == 2 * len(problems)
+
+
+def test_grading_parses_each_math_answer_once(tmp_path, mock_gateway_factory, model_spec):
+    problems = build_math_corpus(tmp_path / "c.jsonl", count=6)
+    entries = math_transcript_entries(
+        problems, wrong_direct_ids={problems[0].id}, unparseable_direct_ids={problems[1].id}
+    )
+    gateway, _ = mock_gateway_factory(entries)
+    conditions = ["direct_cot", "plan_augmented"]
+    run_condition_matrix(gateway, [model_spec], [], problems, conditions)  # fills the cache
+    run, calls = count_calls(  # a replay runs on this thread alone
+        lambda: run_condition_matrix(gateway, [model_spec], [], problems, conditions),
+        {"parse_model_number": parse_model_number},
+    )
+    assert len(run.records) == 12 and not run.failures
+    assert sorted(r.score for r in run.records) == [0.0] * 2 + [1.0] * 10
+    assert calls == {"parse_model_number": 12}
 
 
 def test_matrix_resume_makes_zero_new_calls(tmp_path, mock_gateway_factory, model_spec):

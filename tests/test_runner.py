@@ -512,6 +512,24 @@ def test_cli_fit_bad_points_exit_2_with_one_line(tmp_path, capsys, content, line
     assert not (tmp_path / "fit").exists()
 
 
+def _not_utf8_on_line_3(lines: list[bytes]) -> bytes:
+    """The lines ended by a lone CR, a CRLF and LFs, with the byte 0xff in the
+    middle of the third, so only universal-newline counting finds line 3."""
+    bad = lines[2][: len(lines[2]) // 2] + b"\xff" + lines[2][len(lines[2]) // 2 :]
+    return lines[0] + b"\r" + lines[1] + b"\r\n" + bad + b"\n" + b"".join(line + b"\n" for line in lines[3:])
+
+
+def test_cli_fit_points_that_are_not_utf8_exit_2_naming_file_and_line(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(_not_utf8_on_line_3([b"x,y", b"0.5,0.4", b"0.6,0.5", b"0.7,0.6"]))
+    assert cli_dispatch(["fit", "--points", str(path), "--out", str(tmp_path / "fit")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0] and "line 3:" in err[0]
+    assert captured.out == ""
+    assert not (tmp_path / "fit").exists()
+
+
 def test_cli_fit_reads_points_with_or_without_a_header(tmp_path, capsys):
     shipped = REPO_CONFIGS / "fit_points_exe_vs_plan.csv"
     bare = tmp_path / "bare.csv"
@@ -622,6 +640,26 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
     assert bad.name in err[0]
     if content is not None:  # each bad file goes wrong on its last line
         assert f"line {len(content.splitlines())}" in err[0]
+
+
+@pytest.mark.parametrize("source", ["corpus", "records", "mock"])
+def test_cli_input_that_is_not_utf8_exits_2_naming_file_and_line(math_run, capsys, source):
+    _, config, transcript, tmp_path = math_run
+    if source == "records":
+        assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+        bad = tmp_path / "out" / "records.jsonl"
+        argv = ["report", "--config", str(config)]
+    else:
+        bad = tmp_path / "bad.jsonl"
+        good = tmp_path / ("corpus.jsonl" if source == "corpus" else "transcript.jsonl")
+        bad.write_bytes(good.read_bytes())
+        config = write_config(tmp_path, bad) if source == "corpus" else config
+        argv = ["eval-math", "--config", str(config), "--mock", str(bad if source == "mock" else transcript)]
+    bad.write_bytes(_not_utf8_on_line_3(bad.read_bytes().splitlines()))
+    capsys.readouterr()
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 3: ") and str(bad) in err[0]
 
 
 @pytest.mark.parametrize("url", [

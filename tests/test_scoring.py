@@ -48,10 +48,13 @@ def _record(item_id, score, step_count=2, condition=Condition.DIRECT_COT, model=
 
 def test_check_math_answer_exact():
     assert check_math_answer("The final answer is: 18", 18)
+    assert check_math_answer(Fraction(18), "18")  # an answer parse_model_number already extracted
 
 
 def test_check_math_answer_within_tolerance():
     assert check_math_answer("The final answer is: 18.0000001", 18)
+    assert check_math_answer(Fraction("1350.0001"), "1,350")
+    assert not check_math_answer(Fraction("1350.01"), "1,350")
 
 
 def test_check_math_answer_wrong():
@@ -60,6 +63,7 @@ def test_check_math_answer_wrong():
 
 def test_check_math_answer_unparseable_is_false():
     assert not check_math_answer("no idea", 18)
+    assert not check_math_answer(None, 18)
 
 
 def test_check_math_answer_fraction_gold():
