@@ -18,6 +18,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -102,6 +103,12 @@ class ChatRequest:
     temperature: float = 0.0
     max_tokens: int = 1024
 
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 digest (64 hex chars) of the canonical request form, hashed
+        on first read. Not a field: equality, hash and repr ignore it."""
+        return hashlib.sha256(canonical_request(self).encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class ChatResponse:
@@ -157,7 +164,7 @@ def canonical_request(request: ChatRequest) -> str:
 
 def cache_key(request: ChatRequest) -> str:
     """SHA-256 digest (64 hex chars) of the canonical request form."""
-    return hashlib.sha256(canonical_request(request).encode("utf-8")).hexdigest()
+    return request.digest
 
 
 @dataclass(frozen=True)
@@ -298,7 +305,7 @@ class MockTransport:
                     self._error = exc  # raised again by every later send
         if self._error is not None:
             raise self._error.with_traceback(None)
-        digest = cache_key(request)
+        digest = request.digest
         if digest in self._by_digest:
             return ChatResponse(text=self._by_digest[digest])
         last_user = next((m.content for m in reversed(request.messages) if m.role == "user"), None)
@@ -359,8 +366,8 @@ class Gateway:
         Raises TransportError, ApiError, EmptyResponse, or TranscriptMiss.
         """
         request = self.build_request(model, messages)
-        digest = cache_key(request)
-        cached = self._read_cache(digest, request)
+        digest = request.digest
+        cached = self._read_cache(request)
         if cached is not None:
             return cached
         with self._flights_lock:
@@ -373,13 +380,13 @@ class Gateway:
         try:
             # A leader that finished between our cache read and the lock has
             # already written the entry and left the table: read once more.
-            exchange = self._read_cache(digest, request)
+            exchange = self._read_cache(request)
             if exchange is None:
                 grow = getattr(self._local, "grow", None)  # set by `map` on its workers
                 if grow is not None:
                     grow()
                 response, retries = self._send_with_retry(model, request)
-                self._write_cache(digest, request, response, retries)
+                self._write_cache(request, response, retries)
                 exchange = ChatExchange(request, response, digest, retry_count=retries)
             flight.set_result(exchange)
             return exchange
@@ -479,9 +486,9 @@ class Gateway:
                 self._sleep(delay)
         raise last_exc  # pragma: no cover - loop always raises or returns
 
-    def _read_cache(self, digest: str, request: ChatRequest) -> ChatExchange | None:
+    def _read_cache(self, request: ChatRequest) -> ChatExchange | None:
         try:
-            fd = os.open(self._entry_path(digest), _O_READ)
+            fd = os.open(self._entry_path(request.digest), _O_READ)
             try:
                 raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
             finally:
@@ -495,11 +502,9 @@ class Gateway:
         if not (isinstance(text, str) and text and type(retries) is int):
             return None  # wrongly shaped entry: a miss, so it is sent and rewritten
         response = ChatResponse(text, resp.get("finish_reason", "stop"), resp.get("token_usage", {}))
-        return ChatExchange(request, response, digest, retry_count=retries, cache_hit=True)
+        return ChatExchange(request, response, request.digest, retries, cache_hit=True)
 
-    def _write_cache(
-        self, digest: str, request: ChatRequest, response: ChatResponse, retries: int
-    ) -> None:
+    def _write_cache(self, request: ChatRequest, response: ChatResponse, retries: int) -> None:
         entry = {
             "request": _request_payload(request),
             "response": {
@@ -510,5 +515,5 @@ class Gateway:
             "timestamp": time.time(),
             "retry_count": retries,
         }
-        with atomic_open(self._entry_path(digest)) as fh:
+        with atomic_open(self._entry_path(request.digest)) as fh:
             fh.write(json_line(entry))

@@ -10,9 +10,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -344,21 +344,85 @@ def summarize(
     )
 
 
-def _pct(value: float | None, decimals: int = 1) -> str:
-    if value is None:
-        return "–"
-    return f"{value * 100:.{decimals}f}"
+@dataclass(frozen=True)
+class Table:
+    """One report section as raw data: a title, its columns (each name with
+    the function that prints the column's values in Markdown) and rows of raw
+    values. Markdown ends a `std` table of two or more rows with a Std. row."""
+
+    title: str
+    columns: Mapping[str, Callable[[object], str]]
+    rows: Sequence[tuple]
+    std: bool = False
 
 
-def _std_row(rows: Sequence[ModelRow]) -> dict[str, str]:
-    cols = {}
-    for name in ("p_exe", "exe_acc", "acc", "reason", "acc_plan"):
-        values = [getattr(r, name) for r in rows if getattr(r, name) is not None]
-        if len(values) >= 2:
-            cols[name] = f"{float(np.std(values)) * 100:.2f}"
-        else:
-            cols[name] = "–"
-    return cols
+OUT_OF_RANGE = "out-of-range"
+
+
+def _pct(value: float) -> str:
+    return f"{value * 100:.1f}"
+
+
+def report_tables(summary: Summary) -> tuple[Table, Table, Table, Table]:
+    """The Models, Conditions, Step buckets and Significance tables of
+    `summary`. A Models row is a `ModelRow`'s fields in order. A step-bucket
+    group with items outside every bucket ends in an out-of-range row that
+    has no mean."""
+    cell = {"model": str, "condition": str}
+    ratios = dict.fromkeys(("p_exe", "exe_acc", "acc", "reason_score", "acc_plus_plan"), _pct)
+    buckets = [
+        row
+        for key, t in sorted(summary.buckets.items())
+        for row in [(*key, b.label, b.mean, b.count) for b in t.buckets]
+        + [(*key, OUT_OF_RANGE, None, t.unbucketed_count)] * bool(t.unbucketed_count)
+    ]
+    return (
+        Table("Models", {"model": str} | ratios, list(map(astuple, summary.model_rows)), std=True),
+        Table(
+            "Conditions",
+            cell | {"mean": _pct, "items": str},
+            [(*key, mean, n) for key, (mean, n) in sorted(summary.condition_means.items())],
+        ),
+        Table("Step buckets", cell | {"bucket": str, "mean": _pct, "count": str}, buckets),
+        Table("Significance", {"comparison": str, "p": "{:.4g}".format},
+              sorted(summary.p_values.items())),
+    )
+
+
+def _markdown(table: Table) -> list[str]:
+    """`table` as a Markdown section, – for a missing value. The Std. row
+    holds each column's population standard deviation in percent, – where
+    the column has fewer than two values."""
+    header = f"| {' | '.join(table.columns)} |"
+    lines = [f"## {table.title}", "", header, "|---" * len(table.columns) + "|"]
+    for row in table.rows:
+        cells = ("–" if v is None else f(v) for f, v in zip(table.columns.values(), row))
+        lines.append(f"| {' | '.join(cells)} |")
+    if table.std and len(table.rows) >= 2:
+        columns = [[v for v in column if v is not None] for column in list(zip(*table.rows))[1:]]
+        stds = (f"{float(np.std(vs)) * 100:.2f}" if len(vs) >= 2 else "–" for vs in columns)
+        lines.append(f"| Std. | {' | '.join(stds)} |")
+    return lines + [""]
+
+
+def _keyed(table: Table, keys: int) -> dict:
+    """`table` as a JSON object: each row keyed by its first `keys` cells
+    joined with "/", its value the object of its other cells by column name,
+    or that cell itself when there is one."""
+    names = list(table.columns)[keys:]
+    return {
+        "/".join(row[:keys]): row[keys] if len(names) == 1 else dict(zip(names, row[keys:]))
+        for row in table.rows
+    }
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """`header` and `rows` as CSV; a None cell is written empty."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def emit_report(
@@ -367,45 +431,11 @@ def emit_report(
     """Write report.md, report.csv, buckets.csv, summary.json, and fit.json
     (when a fit was computed). Percentages print at one decimal."""
     out = Path(output_dir)
+    models, conditions, buckets, significance = report_tables(summary)
     lines = ["# Evaluation report", ""]
-    if summary.model_rows:
-        lines += [
-            "## Models",
-            "",
-            "| model | p_exe | exe_acc | acc | reason_score | acc_plus_plan |",
-            "|---|---|---|---|---|---|",
-        ]
-        for row in summary.model_rows:
-            lines.append(
-                f"| {row.model} | {_pct(row.p_exe)} | {_pct(row.exe_acc)} | "
-                f"{_pct(row.acc)} | {_pct(row.reason)} | {_pct(row.acc_plan)} |"
-            )
-        if len(summary.model_rows) >= 2:
-            std = _std_row(summary.model_rows)
-            lines.append(
-                f"| Std. | {std['p_exe']} | {std['exe_acc']} | {std['acc']} | "
-                f"{std['reason']} | {std['acc_plan']} |"
-            )
-        lines.append("")
-
-    lines += ["## Conditions", "", "| model | condition | mean | items |", "|---|---|---|---|"]
-    for (model, cond), (mean, count) in sorted(summary.condition_means.items()):
-        lines.append(f"| {model} | {cond} | {_pct(mean)} | {count} |")
-    lines.append("")
-
-    lines += [
-        "## Step buckets",
-        "",
-        "| model | condition | bucket | mean | count |",
-        "|---|---|---|---|---|",
-    ]
-    for (model, cond), table in sorted(summary.buckets.items()):
-        for b in table.buckets:
-            lines.append(f"| {model} | {cond} | {b.label} | {_pct(b.mean)} | {b.count} |")
-        if table.unbucketed_count:
-            lines.append(f"| {model} | {cond} | out-of-range | – | {table.unbucketed_count} |")
-    lines.append("")
-
+    if models.rows:
+        lines += _markdown(models)
+    lines += _markdown(conditions) + _markdown(buckets)
     if summary.fit is not None:
         f = summary.fit
         lines += [
@@ -416,70 +446,36 @@ def emit_report(
             f"- power fit closer: {str(f.sse_power < f.sse_linear).lower()}",
             "",
         ]
-
-    if summary.p_values:
-        lines += ["## Significance", "", "| comparison | p |", "|---|---|"]
-        for name, p in sorted(summary.p_values.items()):
-            lines.append(f"| {name} | {p:.4g} |")
-        lines.append("")
-
+    if significance.rows:
+        lines += _markdown(significance)
     if summary.warnings:
-        lines += ["## Warnings", ""]
-        lines += [f"- {w}" for w in summary.warnings]
-        lines.append("")
-
+        lines += ["## Warnings", ""] + [f"- {w}" for w in summary.warnings] + [""]
     report_md = out / "report.md"
     with atomic_open(report_md) as fh:
         fh.write("\n".join(lines))
 
-    report_csv = out / "report.csv"
-    with atomic_open(report_csv) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["item_id", "condition", "score", "step_count", "solver_model", "planner_model"]
-        )
-        for r in records:
-            writer.writerow(
-                [r.item_id, r.condition.value, r.score, r.step_count, r.solver_model,
-                 r.planner_model or ""]
-            )
-
-    buckets_csv = out / "buckets.csv"
-    with atomic_open(buckets_csv) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver_model", "condition", "bucket", "mean", "count"])
-        for (model, cond), table in sorted(summary.buckets.items()):
-            for b in table.buckets:
-                writer.writerow(
-                    [model, cond, b.label, "" if b.mean is None else b.mean, b.count]
-                )
-
+    report_csv = _write_csv(
+        out / "report.csv",
+        ("item_id", "condition", "score", "step_count", "solver_model", "planner_model"),
+        ((r.item_id, r.condition.value, r.score, r.step_count, r.solver_model, r.planner_model)
+         for r in records),
+    )
+    buckets_csv = _write_csv(
+        out / "buckets.csv",
+        ["solver_model", *list(buckets.columns)[1:]],
+        (row for row in buckets.rows if row[2] != OUT_OF_RANGE),
+    )
     payload = {
         "task": summary.task,
-        "models": {
-            row.model: {
-                "p_exe": row.p_exe,
-                "exe_acc": row.exe_acc,
-                "acc": row.acc,
-                "reason_score": row.reason,
-                "acc_plus_plan": row.acc_plan,
-            }
-            for row in summary.model_rows
-        },
-        "conditions": {
-            f"{model}/{cond}": {"mean": mean, "items": count}
-            for (model, cond), (mean, count) in sorted(summary.condition_means.items())
-        },
+        "models": _keyed(models, 1),
+        "conditions": _keyed(conditions, 2),
         "buckets": {
             f"{model}/{cond}": {
-                "buckets": [
-                    {"label": b.label, "mean": b.mean, "count": b.count} for b in t.buckets
-                ],
-                "out_of_range": t.unbucketed_count,
+                "buckets": list(map(vars, t.buckets)), "out_of_range": t.unbucketed_count
             }
-            for (model, cond), t in sorted(summary.buckets.items())
+            for (model, cond), t in summary.buckets.items()
         },
-        "p_values": dict(sorted(summary.p_values.items())),
+        "p_values": _keyed(significance, 1),
         "fit": summary.fit.to_dict() if summary.fit else None,
         "warnings": list(summary.warnings),
     }

@@ -181,19 +181,17 @@ def tokenize(text: str) -> list[str]:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # One-row dynamic program; quadratic time, linear space.
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        row = [0]
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                row.append(prev[j - 1] + 1)
-            else:
-                row.append(max(prev[j], row[j - 1]))
-        prev = row
-    return prev[-1]
+    """Bit-parallel LCS length (Allison and Dix, 1986). Bit i of `row` is
+    set where the LCS of `a[:i + 1]` and the tokens of `b` seen so far grows,
+    so the LCS is the set-bit count; one big-int step per token of `b`."""
+    matches: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        matches[tok] = matches.get(tok, 0) | 1 << i
+    row = 0
+    for tok in b:
+        x = matches.get(tok, 0) | row
+        row = x & ~(x - (row << 1 | 1))
+    return row.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:

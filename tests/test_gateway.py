@@ -228,6 +228,22 @@ def test_a_replayed_request_reads_parses_and_hashes_once_and_encodes_nothing(tmp
     assert calls == {"open": 1, "loads": 1, "sha256": 1}
 
 
+def test_a_cold_mock_request_hashes_once(tmp_path, model_spec):
+    gw = Gateway(tmp_path / "c", transport=MockTransport(by_prompt={"P": "42"}))
+    targets = {"sha256": hashlib.sha256}
+    exchange, calls = count_calls(lambda: gw.complete(model_spec, [user_message("P")]), targets)
+    assert not exchange.cache_hit and exchange.response.text == "42"
+    assert calls == {"sha256": 1}
+
+
+def test_request_digest_is_the_cache_key_and_not_a_field(model_spec):
+    a = Gateway.build_request(model_spec, [user_message("P")])
+    b = Gateway.build_request(model_spec, [user_message("P")])
+    digest = a.digest  # cached on `a` only
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert digest == cache_key(b) == hashlib.sha256(canonical_request(b).encode()).hexdigest()
+
+
 def test_empty_mock_response_raises(tmp_path, model_spec):
     transport = MockTransport(by_prompt={"P": ""})
     gw = Gateway(tmp_path / "c", transport=transport)

@@ -213,9 +213,14 @@ def _lcs_bruteforce(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 def test_rouge_agrees_with_bruteforce_lcs():
     rng = random.Random(11)
     vocab = ["a", "b", "c", "d", "e"]
-    for _ in range(200):
-        cand = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+    short = [(vocab, vocab, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
+    # up to 80 tokens, past one 64-bit word, each side with tokens the other lacks
+    cand_vocab, ref_vocab = ["a", "b", "c", "d", "e", "f"], ["d", "e", "f", "g", "h"]
+    sizes = [(0, 5), (5, 0), (0, 0), (64, 64), (65, 80), (80, 80)]
+    sizes += [(rng.randint(0, 80), rng.randint(0, 80)) for _ in range(60)]
+    for cand_from, ref_from, n, m in short + [(cand_vocab, ref_vocab, n, m) for n, m in sizes]:
+        cand = [rng.choice(cand_from) for _ in range(n)]
+        ref = [rng.choice(ref_from) for _ in range(m)]
         lcs = _lcs_bruteforce(tuple(cand), tuple(ref))
         expected = (
             0.0
