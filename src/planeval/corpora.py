@@ -142,6 +142,10 @@ class ToolTask:
     functions: tuple[FunctionSpec, ...]
     gold_calls: tuple[ToolCall, ...]
 
+    @property
+    def step_count(self) -> int:
+        return len(self.gold_calls)
+
 
 @dataclass(frozen=True)
 class ToolLoadResult:

@@ -227,43 +227,34 @@ def _grade_tool(response_text: str, item: ToolTask) -> tuple[float, tuple[str, .
     return score, tuple(flags)
 
 
-def _grade(response_text: str, item) -> tuple[float, int, tuple[str, ...]]:
+def _grade(response_text: str, item) -> tuple[float, tuple[str, ...]]:
     if isinstance(item, MathProblem):
-        score, flags = _grade_math(response_text, item)
-        return score, item.step_count, flags
-    score, flags = _grade_tool(response_text, item)
-    return score, len(item.gold_calls), flags
+        return _grade_math(response_text, item)
+    return _grade_tool(response_text, item)
 
 
-def _direct_prompt(item) -> str:
+def render_prompt(stage: str, item: MathProblem | ToolTask, plan_text: str | None = None) -> str:
+    """The `stage` ("direct", "plan" or "guided") prompt for `item`. A guided
+    prompt embeds `plan_text` verbatim; rendering one without it raises
+    RenderError."""
     if isinstance(item, MathProblem):
-        return load_template("math_direct").render(question=item.question)
-    return load_template("tool_direct").render(task=item.task, func=render_functions(item))
-
-
-def _plan_prompt(item) -> str:
-    if isinstance(item, MathProblem):
-        return load_template("math_plan").render(question=item.question)
-    return load_template("tool_plan").render(task=item.task, func=render_functions(item))
-
-
-def _guided_prompt(item, plan_text: str) -> str:
-    if isinstance(item, MathProblem):
-        return load_template("math_guided").render(question=item.question, idea=plan_text)
-    return load_template("tool_guided").render(
-        task=item.task, func=render_functions(item), idea=plan_text
-    )
+        kind, bindings = "math", {"question": item.question}
+    else:
+        kind, bindings = "tool", {"task": item.task, "func": render_functions(item)}
+    if plan_text is not None:
+        bindings["idea"] = plan_text
+    return load_template(f"{kind}_{stage}").render(**bindings)
 
 
 def solve_direct(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> EvalRecord:
     """One-round baseline: render the direct prompt, call once, grade."""
-    exchange = gateway.complete(model, [user_message(_direct_prompt(item))])
-    score, steps, flags = _grade(exchange.response.text, item)
+    exchange = gateway.complete(model, [user_message(render_prompt("direct", item))])
+    score, flags = _grade(exchange.response.text, item)
     return EvalRecord(
         item_id=item.id,
         condition=Condition.DIRECT_COT,
         score=score,
-        step_count=steps,
+        step_count=item.step_count,
         solver_model=model.name,
         response_text=exchange.response.text,
         flags=flags,
@@ -273,7 +264,7 @@ def solve_direct(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTas
 def generate_plan(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> Plan:
     """Round1: ask for an abstract solving outline. The response text is the
     plan verbatim, with no post-processing."""
-    exchange = gateway.complete(model, [user_message(_plan_prompt(item))])
+    exchange = gateway.complete(model, [user_message(render_prompt("plan", item))])
     text = exchange.response.text
     return Plan(
         item_id=item.id,
@@ -290,8 +281,8 @@ def solve_with_plan(
     byte-identically in the guided prompt."""
     if plan.item_id != item.id:
         raise ValueError(f"plan is for item {plan.item_id!r}, not {item.id!r}")
-    exchange = gateway.complete(model, [user_message(_guided_prompt(item, plan.text))])
-    score, steps, flags = _grade(exchange.response.text, item)
+    exchange = gateway.complete(model, [user_message(render_prompt("guided", item, plan.text))])
+    score, flags = _grade(exchange.response.text, item)
     condition = (
         Condition.PLAN_AUGMENTED
         if plan.generator_model == model.name
@@ -301,7 +292,7 @@ def solve_with_plan(
         item_id=item.id,
         condition=condition,
         score=score,
-        step_count=steps,
+        step_count=item.step_count,
         solver_model=model.name,
         planner_model=plan.generator_model,
         response_text=exchange.response.text,
@@ -314,15 +305,15 @@ def generate_plans(
     gateway: Gateway,
     planners: Sequence[ModelSpec],
     corpus: Sequence[MathProblem | ToolTask],
-) -> dict[tuple[ModelSpec, int], Plan | GatewayError]:
-    """Round1 once per (planner, item position), in planner-major, item order.
+) -> dict[tuple[str, str], Plan | GatewayError]:
+    """Round1 once per (planner, item), in planner-major, item order.
 
     Each value is the plan or the GatewayError that ended its call, keyed
-    by the item's position in `corpus`.
+    by (planner name, item id).
     """
-    keys = [(planner, pos) for planner in dict.fromkeys(planners) for pos in range(len(corpus))]
-    plans = gateway.map(lambda key: generate_plan(gateway, key[0], corpus[key[1]]), keys)
-    return dict(zip(keys, plans))
+    jobs = [(planner, item) for planner in dict.fromkeys(planners) for item in corpus]
+    plans = gateway.map(lambda job: generate_plan(gateway, *job), jobs)
+    return {(planner.name, item.id): plan for (planner, item), plan in zip(jobs, plans)}
 
 
 def expand_matrix(
@@ -388,16 +379,16 @@ def run_condition_matrix(
     plans = generate_plans(
         gateway, [planner for _, _, planner in cells if planner is not None], corpus
     )
-    jobs = [(pos, *cell) for pos in range(len(corpus)) for cell in cells]
+    jobs = [(item, *cell) for item in corpus for cell in cells]
 
     def run_job(job):
-        pos, cond, solver, planner = job
+        item, cond, solver, planner = job
         if planner is None:
-            return solve_direct(gateway, solver, corpus[pos])
-        plan = plans[planner, pos]
+            return solve_direct(gateway, solver, item)
+        plan = plans[planner.name, item.id]
         if isinstance(plan, GatewayError):
             return plan
-        return solve_with_plan(gateway, solver, corpus[pos], plan)
+        return solve_with_plan(gateway, solver, item, plan)
 
     outcomes = gateway.map(run_job, jobs)
     records = sorted(
@@ -406,13 +397,13 @@ def run_condition_matrix(
     )
     failures = tuple(
         MatrixFailure(
-            item_id=corpus[pos].id,
+            item_id=item.id,
             condition=cond.value,
             solver_model=solver.name,
             planner_model=None if planner is None else planner.name,
             error=str(outcome),
         )
-        for (pos, cond, solver, planner), outcome in zip(jobs, outcomes)
+        for (item, cond, solver, planner), outcome in zip(jobs, outcomes)
         if isinstance(outcome, GatewayError)
     )
     return MatrixRun(records=tuple(records), failures=failures)

@@ -390,13 +390,16 @@ def report_tables(summary: Summary) -> tuple[Table, Table, Table, Table]:
 
 
 def _markdown(table: Table) -> list[str]:
-    """`table` as a Markdown section, – for a missing value. The Std. row
-    holds each column's population standard deviation in percent, – where
-    the column has fewer than two values."""
+    """`table` as a Markdown section, – for a missing value and `\\|` for a
+    `|` in a cell. The Std. row holds each column's population standard
+    deviation in percent, – where the column has fewer than two values."""
     header = f"| {' | '.join(table.columns)} |"
     lines = [f"## {table.title}", "", header, "|---" * len(table.columns) + "|"]
     for row in table.rows:
-        cells = ("–" if v is None else f(v) for f, v in zip(table.columns.values(), row))
+        cells = (
+            "–" if v is None else f(v).replace("|", "\\|")
+            for f, v in zip(table.columns.values(), row)
+        )
         lines.append(f"| {' | '.join(cells)} |")
     if table.std and len(table.rows) >= 2:
         columns = [[v for v in column if v is not None] for column in list(zip(*table.rows))[1:]]
@@ -591,6 +594,13 @@ def _load_corpus(config: RunConfig):
     return load_toolbench(config.corpus).tasks
 
 
+def _probes_path(out: Path, model_name: str) -> Path:
+    """The probes file of `model_name` in `out`. `%` and `/` in the name are
+    percent-encoded, so the name stays one file name and no two names share
+    a file."""
+    return out / f"probes_{model_name.replace('%', '%25').replace('/', '%2F')}.jsonl"
+
+
 def _cmd_probe(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigError("--limit must be >= 1")
@@ -608,7 +618,7 @@ def _cmd_probe(args) -> int:
     per_model: dict[str, dict] = {}
     ungraded_total = 0
     for model in config.models:
-        run = measure_p_exe(gateway, model, probes, out_path=out / f"probes_{model.name}.jsonl")
+        run = measure_p_exe(gateway, model, probes, out_path=_probes_path(out, model.name))
         ungraded_total += len(run.ungraded)
         per_model[model.name] = {
             "p_exe": run.p_exe if run.results else None,
@@ -694,13 +704,13 @@ def _cmd_eval(args, task: str) -> int:
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
 
-def _report_plan_failures(results: Mapping, corpus) -> int:
+def _report_plan_failures(results: Mapping) -> int:
     """Print one stderr line per failed Round1 call; return the count."""
     failed = 0
-    for (planner, pos), plan in results.items():
+    for (planner, item_id), plan in results.items():
         if isinstance(plan, GatewayError):
             failed += 1
-            print(f"plan failed for {corpus[pos].id} ({planner.name}): {plan}", file=sys.stderr)
+            print(f"plan failed for {item_id} ({planner}): {plan}", file=sys.stderr)
     return failed
 
 
@@ -714,7 +724,7 @@ def _cmd_plan(args) -> int:
     results = generate_plans(gateway, planners, corpus)
     write_json(out / "manifest.json", manifest)
     write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
-    return EXIT_PARTIAL if _report_plan_failures(results, corpus) else EXIT_OK
+    return EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -766,9 +776,9 @@ def _cmd_build_sft(args) -> int:
             raise ConfigError("build-sft needs teacher_model in config")
         spec = next(m for m in config.models if m.name == teacher)
         results = generate_plans(_gateway(config, args), [spec], corpus)
-        if _report_plan_failures(results, corpus):
+        if _report_plan_failures(results):
             return EXIT_PARTIAL
-        plans = {corpus[pos].id: plan for (_, pos), plan in results.items()}
+        plans = {item_id: plan for (_, item_id), plan in results.items()}
     try:
         corpus_path, meta_path = sftgen.write_sft_outputs(
             corpus, plans, mode=config.sft_mode, out_dir=out, teacher_model=teacher or ""

@@ -10,14 +10,7 @@ from typing import Mapping, Sequence
 
 from .corpora import MathProblem, ToolTask
 from .jsonio import read_rows, write_json, write_jsonl
-from .planflow import (
-    Plan,
-    _direct_prompt,
-    _plan_prompt,
-    has_answer_leak,
-    render_call_sequence,
-    template_hashes,
-)
+from .planflow import Plan, has_answer_leak, render_call_sequence, render_prompt, template_hashes
 
 KINDS = ("plan_target", "answer_target")
 MODES = ("all", "plan_only", "answer_only")
@@ -106,7 +99,7 @@ def build_sft_corpus(
             kind_records.append(
                 SftRecord(
                     kind="answer_target",
-                    prompt=_direct_prompt(item),
+                    prompt=render_prompt("direct", item),
                     target=_gold_answer_text(item),
                     source_id=item.id,
                 )
@@ -115,7 +108,7 @@ def build_sft_corpus(
             kind_records.append(
                 SftRecord(
                     kind="plan_target",
-                    prompt=_plan_prompt(item),
+                    prompt=render_prompt("plan", item),
                     target=plans[item.id].text,
                     source_id=item.id,
                 )

@@ -8,12 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 from planeval.corpora import load_gsm8k, load_toolbench
-from planeval.planflow import (
-    _direct_prompt,
-    _guided_prompt,
-    _plan_prompt,
-    render_call_sequence,
-)
+from planeval.planflow import render_call_sequence, render_prompt
 
 MATH_PLAN_TEXT = (
     "To solve this question, first we should count the starting amount, "
@@ -101,10 +96,10 @@ def math_transcript_entries(problems, wrong_direct_ids=(), unparseable_direct_id
             direct = f"Counting quickly. The final answer is: {wrong}"
         else:
             direct = f"Counting each phase. The final answer is: {gold}"
-        entries.append((_direct_prompt(p), direct))
-        entries.append((_plan_prompt(p), MATH_PLAN_TEXT))
+        entries.append((render_prompt("direct", p), direct))
+        entries.append((render_prompt("plan", p), MATH_PLAN_TEXT))
         guided = f"Following the idea carefully. The final answer is: {gold}"
-        entries.append((_guided_prompt(p, MATH_PLAN_TEXT), guided))
+        entries.append((render_prompt("guided", p, MATH_PLAN_TEXT), guided))
     return entries
 
 
@@ -165,7 +160,7 @@ def tool_transcript_entries(tasks, degrade_direct_ids=()):
             direct = "\n".join(gold_text.splitlines()[:-1]) or "no calls today"
         else:
             direct = gold_text
-        entries.append((_direct_prompt(t), direct))
-        entries.append((_plan_prompt(t), TOOL_PLAN_TEXT))
-        entries.append((_guided_prompt(t, TOOL_PLAN_TEXT), gold_text))
+        entries.append((render_prompt("direct", t), direct))
+        entries.append((render_prompt("plan", t), TOOL_PLAN_TEXT))
+        entries.append((render_prompt("guided", t, TOOL_PLAN_TEXT), gold_text))
     return entries

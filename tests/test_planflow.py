@@ -25,13 +25,11 @@ from planeval.planflow import (
     parse_tool_response,
     render_call,
     render_call_sequence,
+    render_prompt,
     run_condition_matrix,
     solve_direct,
     solve_with_plan,
     template_hashes,
-    _direct_prompt,
-    _guided_prompt,
-    _plan_prompt,
 )
 from planeval.scoring import Condition
 
@@ -241,7 +239,7 @@ def test_solve_with_plan_embeds_plan_byte_identically(math_setup, model_spec):
     record = solve_with_plan(gateway, model_spec, item, plan)
     assert record.score == 1.0
     assert record.plan_text == plan.text
-    assert plan.text in _guided_prompt(item, plan.text)
+    assert plan.text in render_prompt("guided", item, plan.text)
 
 
 def test_condition_label_depends_on_plan_origin(math_setup, model_spec, planner_spec):
@@ -382,13 +380,13 @@ def test_matrix_plans_once_per_planner_and_item(tmp_path, monkeypatch):
     solvers = [ModelSpec(name="solver-x"), ModelSpec(name="solver-y"), *planners]
     by_digest, by_prompt = {}, {}
     for p in problems:
-        by_prompt[_direct_prompt(p)] = "The final answer is: 0"
+        by_prompt[render_prompt("direct", p)] = "The final answer is: 0"
         for model in solvers:
             # plan texts differ per planner, so no two guided jobs share a digest
             text = f"Plan by {model.name}: count the start, then walk each phase."
-            request = Gateway.build_request(model, [user_message(_plan_prompt(p))])
+            request = Gateway.build_request(model, [user_message(render_prompt("plan", p))])
             by_digest[cache_key(request)] = text
-            by_prompt[_guided_prompt(p, text)] = "The final answer is: 1"
+            by_prompt[render_prompt("guided", p, text)] = "The final answer is: 1"
     transport = MockTransport(by_digest, by_prompt)
     gateway = Gateway(tmp_path / "cache", transport=transport)
     digests = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from planeval.arith import PROBE_PROMPT
 from planeval.corpora import StepDistribution, extract_probes, load_gsm8k, step_distribution
 from planeval.gateway import Gateway, ModelSpec, cache_key, user_message, write_transcript
 from planeval.jsonio import write_json, write_jsonl
-from planeval.planflow import _direct_prompt, _guided_prompt, _plan_prompt
+from planeval.planflow import render_prompt
 from planeval.runner import (
     ConfigError,
     EXIT_CONFIG,
@@ -293,9 +294,9 @@ def test_cli_eval_math_with_two_planners_summarizes_each_planner_apart(tmp_path)
              ("a", "b"): 7, ("a", "c"): 4, ("b", "c"): 5, ("c", "b"): 6}
     entries = []
     for i, p in enumerate(problems):
-        entries += [(planner, _plan_prompt(p), text) for planner, text in plans.items()]
+        entries += [(planner, render_prompt("plan", p), text) for planner, text in plans.items()]
         for (solver, planner), k in right.items():
-            prompt = _direct_prompt(p) if planner is None else _guided_prompt(p, plans[planner])
+            prompt = render_prompt("direct", p) if planner is None else render_prompt("guided", p, plans[planner])
             answer = int(gold_number(p)) + (0 if i < k else 1)
             entries.append((solver, prompt, f"The final answer is: {answer}"))
     transcript = write_jsonl(tmp_path / "t.jsonl", (
@@ -545,7 +546,7 @@ def test_cli_fit_reads_points_with_or_without_a_header(tmp_path, capsys):
 def test_cli_build_sft_with_mock_teacher(tmp_path):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
     plan_entries = [
-        (_plan_prompt(p), f"To solve this question, first we should study crew {p.id}, then total the phases.")
+        (render_prompt("plan", p), f"To solve this question, first we should study crew {p.id}, then total the phases.")
         for p in problems
     ]
     transcript = write_transcript(tmp_path / "t.jsonl", plan_entries)
@@ -567,7 +568,7 @@ def _teacher_plan(problem) -> str:
 
 def test_cli_build_sft_teacher_plan_failures_exit_1_without_sft_files(tmp_path, capsys):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=4)
-    entries = [(_plan_prompt(p), _teacher_plan(p)) for p in problems[:3]]
+    entries = [(render_prompt("plan", p), _teacher_plan(p)) for p in problems[:3]]
     transcript = write_transcript(tmp_path / "t.jsonl", entries)
     config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
     code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
@@ -582,8 +583,8 @@ def test_cli_build_sft_teacher_plan_failures_exit_1_without_sft_files(tmp_path, 
 def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=3)
     leaky = problems[1]
-    entries = [(_plan_prompt(p), _teacher_plan(p)) for p in problems if p is not leaky]
-    entries.append((_plan_prompt(leaky), f"Add up the phases to reach {gold_number(leaky)}."))
+    entries = [(render_prompt("plan", p), _teacher_plan(p)) for p in problems if p is not leaky]
+    entries.append((render_prompt("plan", leaky), f"Add up the phases to reach {gold_number(leaky)}."))
     transcript = write_transcript(tmp_path / "t.jsonl", entries)
     config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
     code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
@@ -591,6 +592,68 @@ def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: gold answer leaked into plan targets: {[leaky.id]}"]
     assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+
+
+def _out_of_order_run(tmp_path, missing_plan=None, **overrides):
+    """Items written in the order c, a, b; models p and q, each a planner;
+    a digest-keyed transcript whose every plan names its planner and item,
+    and in which every guided prompt gets the gold answer. `missing_plan`
+    (planner, item id) gets no plan answer. Returns (plans, config, transcript)."""
+    lines = [dict(line, id=item_id) for line, item_id in zip(make_math_lines(3), "cab")]
+    problems = load_gsm8k(write_gsm8k_file(tmp_path / "corpus.jsonl", lines))
+    specs = {name: ModelSpec(**dict(MODEL, name=name)) for name in "pq"}
+    plans = {(m, p.id): f"Planner {m} on item {p.id}: count the start, then add each phase."
+             for m in specs for p in problems}
+    entries = [(m, render_prompt("plan", p), plans[m, p.id])
+               for m in specs for p in problems if (m, p.id) != missing_plan]
+    entries += [(solver, render_prompt("guided", p, plans[m, p.id]),
+                 f"The final answer is: {gold_number(p)}")
+                for solver in specs for m in specs for p in problems]
+    transcript = write_jsonl(tmp_path / "t.jsonl", (
+        {"prompt_digest": cache_key(Gateway.build_request(specs[m], [user_message(prompt)])),
+         "response_text": text}
+        for m, prompt, text in entries
+    ))
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl",
+                          models=[dict(MODEL, name=name) for name in specs],
+                          planners=list(specs), **overrides)
+    return plans, config, transcript
+
+
+def test_guided_records_carry_their_own_items_plan(tmp_path):
+    plans, config, transcript = _out_of_order_run(
+        tmp_path, conditions=["plan_augmented", "cross_model_plan"]
+    )
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 3 * 4
+    assert all(r.plan_text == plans[r.planner_model, r.item_id] for r in records)
+    assert all(r.score == 1.0 for r in records)
+
+
+@pytest.mark.parametrize("command", ["plan", "build-sft"])
+def test_plan_and_build_sft_key_plans_by_item_id(tmp_path, capsys, command):
+    """A failed plan request is reported by its item's id; once every plan is
+    answered, each output plan is the one its item's request got."""
+    plans, config, transcript = _out_of_order_run(
+        tmp_path, missing_plan=("q", "a"), teacher_model="q"
+    )
+    argv = [command, "--config", str(config), "--mock", str(transcript)]
+    assert cli_dispatch(argv) == EXIT_PARTIAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("plan failed for a (q): ")
+
+    _out_of_order_run(tmp_path, teacher_model="q")  # the same files, every plan answered
+    assert cli_dispatch(argv) == EXIT_OK
+    out = tmp_path / "out"
+    if command == "plan":
+        rows = [json.loads(line) for line in (out / "plans.jsonl").read_text().splitlines()]
+        assert [(r["generator_model"], r["item_id"]) for r in rows] == list(plans)
+        assert [r["text"] for r in rows] == list(plans.values())
+    else:
+        rows = [r for r in sftgen_module.load_sft(out / "sft_corpus.jsonl") if r.kind == "plan_target"]
+        assert {r.source_id: r.target for r in rows} == {i: plans["q", i] for i in "abc"}
 
 
 RECORD_WITHOUT_ITEM_ID = {
@@ -789,7 +852,7 @@ def test_cli_report_does_not_parse_the_corpus(math_run):
 def test_cli_build_sft_replays_the_plans_of_plan_from_the_cache(tmp_path, monkeypatch):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
     transcript = write_transcript(
-        tmp_path / "t.jsonl", [(_plan_prompt(p), _teacher_plan(p)) for p in problems]
+        tmp_path / "t.jsonl", [(render_prompt("plan", p), _teacher_plan(p)) for p in problems]
     )
     config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
     assert cli_dispatch(["plan", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
@@ -1010,6 +1073,21 @@ def test_cli_probe_limit_takes_the_first_probes(math_run):
 MALFORMED_TRANSCRIPT = json.dumps({"prompt_text": "q", "response_text": "a"}) + "\n{not json\n"
 
 
+def test_probe_files_of_model_names_with_slash_or_percent_stay_in_the_output_dir(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=3)
+    transcript = write_transcript(tmp_path / "t.jsonl", probe_entries(problems))
+    names = ["meta-llama/Llama-2-7b-chat-hf", "a%2Fb", "a/b", "mock-model"]
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl",
+                          models=[dict(MODEL, name=name) for name in names])
+    assert cli_dispatch(["probe", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").iterdir() if p.name.startswith("probes_")) == [
+        "probes_a%252Fb.jsonl",
+        "probes_a%2Fb.jsonl",
+        "probes_meta-llama%2FLlama-2-7b-chat-hf.jsonl",
+        "probes_mock-model.jsonl",
+    ]
+
+
 def _files(directory: Path) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
 
@@ -1134,6 +1212,20 @@ def test_report_empty_bucket_prints_dash_and_std_row(tmp_path):
 
     expected_std = f"{np.std([0.9, 0.7]) * 100:.2f}"
     assert expected_std in report
+
+
+def test_report_md_escapes_a_pipe_in_a_cell_and_json_and_csv_keep_the_name(tmp_path):
+    records = [EvalRecord(item_id="i0", condition=Condition.DIRECT_COT, score=1.0,
+                          step_count=2, solver_model="gpt|4")]
+    emit_report(records, summarize(records, "math"), tmp_path)
+    report = (tmp_path / "report.md").read_text()
+    assert "| gpt\\|4 | direct_cot | 100.0 | 1 |" in report
+    for section in report.split("## ")[1:]:
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        assert len({len(re.findall(r"(?<!\\)\|", row)) for row in rows}) == 1, section
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["conditions"]) == ["gpt|4/direct_cot"]
+    assert "i0,direct_cot,1.0,2,gpt|4," in (tmp_path / "report.csv").read_text()
 
 
 def test_summarize_warns_when_solver_not_weaker(tmp_path):

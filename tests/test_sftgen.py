@@ -7,7 +7,7 @@ import pytest
 
 from helpers import MATH_PLAN_TEXT, TOOL_PLAN_TEXT, build_math_corpus, build_tool_corpus
 from planeval.jsonio import FormatError
-from planeval.planflow import Plan, _direct_prompt, _plan_prompt, render_call_sequence
+from planeval.planflow import Plan, render_call_sequence, render_prompt
 from planeval.sftgen import (
     AnswerLeak,
     MissingPlan,
@@ -53,10 +53,10 @@ def test_prompts_render_from_expected_templates(math_corpus):
     for r in records:
         item = by_item[r.source_id]
         if r.kind == "plan_target":
-            assert r.prompt == _plan_prompt(item)
+            assert r.prompt == render_prompt("plan", item)
             assert r.target == plans[item.id].text
         else:
-            assert r.prompt == _direct_prompt(item)
+            assert r.prompt == render_prompt("direct", item)
             assert r.target == item.gold_solution
 
 
