@@ -22,6 +22,8 @@ TOOL_STEP_BUCKETS = (2, 3, 4)
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 10_000
 DEFAULT_SEED = 0
+# Resample indices drawn per bootstrap chunk: bounds its memory at any N.
+_BOOTSTRAP_CHUNK = 1 << 16
 
 
 class DomainError(ValueError):
@@ -351,18 +353,32 @@ def paired_bootstrap_p(
     n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Two-sided paired bootstrap of the mean difference with a fixed seed."""
+    """Two-sided paired bootstrap of the mean difference with a fixed seed.
+
+    The resamples are drawn from one seeded generator in consecutive chunks
+    of at most `_BOOTSTRAP_CHUNK` indices. The generator carries one stream
+    across draws, so the p-value equals that of a single (n_resamples, N)
+    draw, while memory stays bounded whatever N is.
+    """
+    if n_resamples < 1:
+        raise DomainError(f"n_resamples must be at least 1, got {n_resamples}")
     a = np.asarray(a_scores, dtype=float)
     b = np.asarray(b_scores, dtype=float)
     if a.shape != b.shape or a.size == 0:
         raise MisalignedRecords("paired scores must be same-length and nonempty")
     diffs = b - a
+    if not np.isfinite(diffs).all():
+        raise DomainError("paired scores must be finite")
+    n = diffs.size
+    rows = max(1, _BOOTSTRAP_CHUNK // n)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(n_resamples, diffs.size))
-    means = diffs[idx].mean(axis=1)
-    p_low = float(np.mean(means <= 0.0))
-    p_high = float(np.mean(means >= 0.0))
-    return min(1.0, 2.0 * min(p_low, p_high))
+    low = high = 0
+    for start in range(0, n_resamples, rows):
+        idx = rng.integers(0, n, size=(min(rows, n_resamples - start), n))
+        means = diffs[idx].mean(axis=1)
+        low += int(np.count_nonzero(means <= 0.0))
+        high += int(np.count_nonzero(means >= 0.0))
+    return min(1.0, 2.0 * min(low, high) / n_resamples)
 
 
 def paired_significance(

@@ -954,7 +954,8 @@ def test_item_whose_every_cell_failed_is_left_out_of_the_ceiling(tmp_path):
     p_exe = read_json(out / "probe_summary.json")["models"]["mock-model"]["p_exe"]
     assert 0 < p_exe < 1
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_PARTIAL
-    failed = {json.loads(line)["item_id"] for line in (out / "failures.jsonl").open()}
+    rows = (out / "failures.jsonl").read_text().splitlines()
+    failed = {json.loads(line)["item_id"] for line in rows}
     assert failed == {problems[1].id}
     assert read_json(out / "summary.json")["models"]["mock-model"]["exe_acc"] == p_exe**2
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from planeval.corpora import StepDistribution, ToolCall
 from planeval.scoring import (
     Condition,
+    DEFAULT_BOOTSTRAP_RESAMPLES,
     DegenerateInput,
     DomainError,
     EvalRecord,
@@ -462,6 +464,68 @@ def test_paired_bootstrap_input_validation():
         paired_bootstrap_p([], [])
     with pytest.raises(MisalignedRecords):
         paired_bootstrap_p([0.1], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("n_resamples", [0, -1])
+def test_paired_bootstrap_rejects_fewer_than_one_resample(n_resamples):
+    with pytest.raises(DomainError):
+        paired_bootstrap_p([0.1, 0.4], [0.3, 0.2], n_resamples=n_resamples)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_paired_bootstrap_rejects_non_finite_scores(bad, side):
+    a, b = [0.1, 0.4, 0.5], [0.3, 0.2, 0.5]
+    (a if side == "a" else b)[1] = bad
+    with pytest.raises(DomainError):
+        paired_bootstrap_p(a, b)
+
+
+# --- the chunked bootstrap equals one (n_resamples, N) draw of the same stream
+
+
+def _one_shot_bootstrap_p(a, b, n_resamples, seed):
+    diffs = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    idx = np.random.default_rng(seed).integers(0, diffs.size, size=(n_resamples, diffs.size))
+    means = diffs[idx].mean(axis=1)
+    return min(1.0, 2.0 * min(float(np.mean(means <= 0.0)), float(np.mean(means >= 0.0))))
+
+
+@st.composite
+def _grid_score_pairs(draw):
+    # Scores on a 0.25 grid, so that some resample means are exactly 0.
+    n = draw(st.integers(min_value=1, max_value=400))
+    scores = st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)
+    return [k / 4 for k in draw(scores)], [k / 4 for k in draw(scores)]
+
+
+@given(_grid_score_pairs(), st.sampled_from([1, 7, 1_000]), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_paired_bootstrap_equals_one_shot_draw(pair, n_resamples, seed):
+    a, b = pair
+    assert paired_bootstrap_p(a, b, n_resamples, seed) == _one_shot_bootstrap_p(a, b, n_resamples, seed)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 30, 1_319])
+def test_paired_bootstrap_equals_one_shot_draw_at_default_resamples(n):
+    rng = random.Random(n)
+    a = [rng.random() for _ in range(n)]
+    b = [rng.random() for _ in range(n)]
+    expected = _one_shot_bootstrap_p(a, b, DEFAULT_BOOTSTRAP_RESAMPLES, 7)
+    assert paired_bootstrap_p(a, b, seed=7) == expected
+
+
+def test_paired_bootstrap_memory_is_bounded_at_gsm8k_size():
+    rng = random.Random(0)
+    a = [rng.random() for _ in range(1_319)]
+    b = [rng.random() for _ in range(1_319)]
+    tracemalloc.start()
+    try:
+        paired_bootstrap_p(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # --- property: exe_acc strictly increasing in p_exe
