@@ -7,7 +7,6 @@ Here a scripted mock plays a model that slips on 3 of the probes.
 Run: python demos/02_probe_single_step_accuracy.py
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -43,10 +42,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         gateway = Gateway(Path(tmp) / "cache", transport=MockTransport(by_prompt=transcript))
         spec = ModelSpec(name="demo-model")
-        run = measure_p_exe(gateway, spec, extraction.probes, out_path=Path(tmp) / "probes.jsonl")
-        print(f"p_exe = {run.p_exe:.4f} over {len(run.results)} graded probes")
-        first = json.loads((Path(tmp) / "probes.jsonl").read_text().splitlines()[0])
-        print(f"sample persisted row: {first}\n")
+        run = measure_p_exe(gateway, spec, extraction.probes)
+    print(f"p_exe = {run.p_exe:.4f} over {len(run.results)} graded probes")
+    for r in run.results:
+        if not r.correct:
+            print(f"  missed: {r.expression} = {r.expected}, model said {r.model_text!r}")
+    print()
 
     dist = step_distribution(problems)
     print("step distribution:", {n: round(p, 3) for n, p in dist.mass.items()})

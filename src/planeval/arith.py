@@ -6,11 +6,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .gateway import Gateway, GatewayError, ModelSpec, user_message
-from .jsonio import write_jsonl
 
 PROBE_PROMPT = (
     "Compute the value of the following expression. Reply with only the number.\n{expression}"
@@ -189,16 +187,19 @@ def parse_model_number(text: str) -> Fraction | None:
         return None  # e.g. more digits than `int` converts
 
 
+def within_tolerance(value: Fraction, reference: Fraction) -> bool:
+    """True when `value` is within 1e-6 relative error of `reference`."""
+    return value == reference or abs(value - reference) <= REL_TOLERANCE * abs(reference)
+
+
 def grade_number(parsed: Fraction | None, expected: Fraction) -> bool:
     """Probe grading rule: integers must match exactly, non-integers within
     1e-6 relative error."""
     if parsed is None:
         return False
-    if parsed == expected:
-        return True
     if expected.denominator == 1:
-        return False
-    return abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
+        return parsed == expected
+    return within_tolerance(parsed, expected)
 
 
 @dataclass(frozen=True)
@@ -228,12 +229,7 @@ class ProbeRun:
         return sum(1 for r in self.results if r.correct) / len(self.results)
 
 
-def measure_p_exe(
-    gateway: Gateway,
-    model: ModelSpec,
-    probes: Sequence,
-    out_path: str | Path | None = None,
-) -> ProbeRun:
+def measure_p_exe(gateway: Gateway, model: ModelSpec, probes: Sequence) -> ProbeRun:
     """Prompt the model with each probe expression and grade against the
     exact evaluator. Results keep probe order; aggregation is order-free."""
     if not probes:
@@ -256,16 +252,4 @@ def measure_p_exe(
     ungraded = tuple(
         probe.expression for probe, res in zip(probes, outcomes) if isinstance(res, GatewayError)
     )
-    if out_path is not None:
-        write_jsonl(
-            out_path,
-            (
-                {
-                    **vars(r),
-                    "expected": str(r.expected),
-                    "parsed": None if r.parsed is None else str(r.parsed),
-                }
-                for r in results
-            ),
-        )
     return ProbeRun(results=results, ungraded=ungraded)

@@ -43,7 +43,10 @@ class MathProblem:
     gold_solution: str
     gold_answer: Fraction
     calc_annotations: tuple[tuple[str, Fraction], ...]
-    step_count: int
+
+    @property
+    def step_count(self) -> int:
+        return len(self.calc_annotations)
 
     @cached_property
     def flags(self) -> tuple[str, ...]:
@@ -205,7 +208,6 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
                 gold_solution=solution,
                 gold_answer=gold,
                 calc_annotations=tuple(annotations),
-                step_count=len(annotations),
             )
         )
     return problems
@@ -216,7 +218,7 @@ def _verify_annotation(expr: str, annotated: Fraction) -> str | None:
         value = arith.eval_expr(arith.normalize_expression(expr))
     except (ValueError, ZeroDivisionError):
         return f"annotation_unparsed:{expr.strip()}"
-    if abs(value - annotated) <= arith.REL_TOLERANCE * abs(annotated):
+    if arith.within_tolerance(value, annotated):
         return None
     return f"annotation_mismatch:{expr.strip()}"
 

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import __version__, sftgen
-from .arith import PROBE_PROMPT, measure_p_exe
+from .arith import PROBE_PROMPT, ProbeResult, measure_p_exe
 from .corpora import (
     ParseError,
     extract_probes,
@@ -204,8 +204,15 @@ def save_records(records: Sequence[EvalRecord], path: Path) -> None:
     write_jsonl(path, map(vars, records))
 
 
-def _record(obj) -> EvalRecord:
-    return EvalRecord(
+def save_probe_results(results: Sequence[ProbeResult], path: Path) -> None:
+    """`expected` and `parsed` as fraction text; `parsed` is null without a number."""
+    rows = ({**vars(r), "expected": str(r.expected),
+             "parsed": None if r.parsed is None else str(r.parsed)} for r in results)
+    write_jsonl(path, rows)
+
+
+def _record(obj, cells: set) -> EvalRecord:
+    r = EvalRecord(
         item_id=obj["item_id"],
         condition=Condition(obj["condition"]),
         score=obj["score"],
@@ -216,10 +223,17 @@ def _record(obj) -> EvalRecord:
         plan_text=obj.get("plan_text"),
         flags=tuple(obj.get("flags", ())),
     )
+    cell = (r.item_id, r.condition.value, r.solver_model, r.planner_model)
+    if cell in cells:
+        raise ValueError(f"repeated (item, condition, solver, planner) {cell}")
+    cells.add(cell)
+    return r
 
 
 def load_records(path: Path) -> list[EvalRecord]:
-    return list(read_rows(path, "record", _record))
+    """A row that repeats an earlier row's cell and item raises FormatError."""
+    cells: set = set()
+    return list(read_rows(path, "record", lambda obj: _record(obj, cells)))
 
 
 # --- summary and report ----------------------------------------------------
@@ -615,17 +629,15 @@ def _cmd_probe(args) -> int:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
     manifest = _manifest_keeping_inputs(config, len(problems), out)
-    per_model: dict[str, dict] = {}
-    ungraded_total = 0
-    for model in config.models:
-        run = measure_p_exe(gateway, model, probes, out_path=_probes_path(out, model.name))
-        ungraded_total += len(run.ungraded)
-        per_model[model.name] = {
-            "p_exe": run.p_exe if run.results else None,
-            "graded": len(run.results),
-            "ungraded": len(run.ungraded),
-        }
+    runs = {model.name: measure_p_exe(gateway, model, probes) for model in config.models}
+    for name, run in runs.items():
+        save_probe_results(run.results, _probes_path(out, name))
     write_json(out / "manifest.json", manifest)
+    per_model = {
+        name: {"p_exe": run.p_exe if run.results else None,
+               "graded": len(run.results), "ungraded": len(run.ungraded)}
+        for name, run in runs.items()
+    }
     payload = {
         "models": per_model,
         "probe_count": len(probes),
@@ -635,7 +647,7 @@ def _cmd_probe(args) -> int:
     write_json(out / "probe_summary.json", payload)
     for name, row in sorted(per_model.items()):
         print(f"{name}: p_exe={row['p_exe']} graded={row['graded']} ungraded={row['ungraded']}")
-    return EXIT_PARTIAL if ungraded_total else EXIT_OK
+    return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK
 
 
 def _read_json_object(path: Path) -> tuple[dict, str | None]:
@@ -669,12 +681,12 @@ def _summarize_and_emit(
     records: Sequence[EvalRecord], records_path: Path, probe: tuple[dict, str | None],
     manifest: dict, config: RunConfig, out: Path,
 ) -> None:
-    """Write `manifest`, with the seed, probe summary and records used, and the reports."""
+    """Summarize, then write `manifest` (seed, probe summary, records used) and the reports."""
+    summary = summarize(records, config.task, p_exe_by_model=probe[0], seed=config.seed)
     records_hash = hashlib.sha256(records_path.read_bytes()).hexdigest()
     manifest["seed"] = config.seed
     manifest["inputs"] = {"probe_summary": probe[1], "records": records_hash}
     write_json(out / "manifest.json", manifest)
-    summary = summarize(records, config.task, p_exe_by_model=probe[0], seed=config.seed)
     emit_report(records, summary, out)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arith import REL_TOLERANCE, parse_decimal, parse_model_number
+from .arith import parse_decimal, parse_model_number, within_tolerance
 from .corpora import StepDistribution, ToolCall
 
 MATH_STEP_BUCKETS = (2, 3, 4, 5, 6)
@@ -118,7 +118,7 @@ def check_math_answer(response: str | Fraction | None, gold) -> bool:
     if parsed is None:
         return False
     expected = _as_fraction(gold)
-    return parsed == expected or abs(parsed - expected) <= REL_TOLERANCE * abs(expected)
+    return within_tolerance(parsed, expected)
 
 
 def exe_acc(p_exe: float, dist: StepDistribution) -> float:

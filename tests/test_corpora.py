@@ -211,7 +211,6 @@ def test_extract_probes_reports_unparseable(tmp_path):
         gold_solution="s",
         gold_answer=Fraction(1),
         calc_annotations=(("2+&3", Fraction(5)),),
-        step_count=1,
     )
     extraction = extract_probes([item])
     assert extraction.probes == ()
@@ -227,7 +226,6 @@ def test_step_distribution_counts():
             gold_solution="s",
             gold_answer=Fraction(1),
             calc_annotations=tuple(("1+1", Fraction(2)) for _ in range(n)),
-            step_count=n,
         )
 
     dist = step_distribution([problem(0, 2), problem(1, 2), problem(2, 4)])
@@ -244,8 +242,8 @@ def test_step_distribution_counts():
 
 def test_step_distribution_excludes_flagged_zero_step_items():
     items = [
-        MathProblem("a", "q", "s", Fraction(1), (("1+1", Fraction(2)),), 1),
-        MathProblem("b", "q", "s", Fraction(1), (), 0),
+        MathProblem("a", "q", "s", Fraction(1), (("1+1", Fraction(2)),)),
+        MathProblem("b", "q", "s", Fraction(1), ()),
     ]
     dist = step_distribution(items)
     assert dist.mass == {1: 1.0}

@@ -139,7 +139,6 @@ def _math_item(gold=42):
         gold_solution="s",
         gold_answer=Fraction(gold),
         calc_annotations=(("6*7", Fraction(42)),),
-        step_count=1,
     )
 
 

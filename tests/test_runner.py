@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1091,6 +1092,104 @@ def test_probe_files_of_model_names_with_slash_or_percent_stay_in_the_output_dir
 
 def _files(directory: Path) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_cli_probe_rows_keep_expected_and_parsed_as_text(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=3)
+    probes = extract_probes(problems).probes
+    replies = ["0", "no number here"] + [str(p.exact_value) for p in probes[2:]]
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        [(PROBE_PROMPT.format(expression=p.expression), reply) for p, reply in zip(probes, replies)],
+    )
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl")
+    assert cli_dispatch(["probe", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    lines = (tmp_path / "out" / "probes_mock-model.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [p.expression for p in probes] == [row["expression"] for row in rows]
+    assert {tuple(row) for row in rows} == {("correct", "expected", "expression", "model_text", "parsed")}
+    assert rows[0] == {"expression": probes[0].expression, "expected": str(probes[0].exact_value),
+                       "model_text": "0", "parsed": "0", "correct": False}
+    assert rows[1] == {"expression": probes[1].expression, "expected": str(probes[1].exact_value),
+                       "model_text": "no number here", "parsed": None, "correct": False}
+    assert all(row["parsed"] == row["expected"] and row["correct"] for row in rows[2:])
+
+
+def test_interrupted_probe_leaves_every_output_file_untouched(tmp_path, monkeypatch):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=3)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl",
+                          models=[dict(MODEL, name="a"), dict(MODEL, name="b")])
+    wrong = write_transcript(tmp_path / "wrong.jsonl", probe_entries(problems, wrong_every=2))
+    assert cli_dispatch(["probe", "--config", str(config), "--mock", str(wrong)]) == EXIT_OK
+    out = tmp_path / "out"
+    before = _files(out)
+    assert sorted(p.name for p in before) == [
+        "manifest.json", "probe_summary.json", "probes_a.jsonl", "probes_b.jsonl"
+    ]
+    original = runner_module._gateway
+
+    def gateway_interrupted_at_b(config, args):
+        gateway = original(config, args)
+        send = gateway.transport.send
+
+        def send_or_interrupt(model, request):
+            if model.name == "b":
+                raise KeyboardInterrupt
+            return send(model, request)
+
+        gateway.transport.send = send_or_interrupt
+        return gateway
+
+    monkeypatch.setattr(runner_module, "_gateway", gateway_interrupted_at_b)
+    shutil.rmtree(tmp_path / "cache")  # a cold cache, so model a gets new answers
+    right = write_transcript(tmp_path / "right.jsonl", probe_entries(problems))
+    with pytest.raises(KeyboardInterrupt):
+        cli_dispatch(["probe", "--config", str(config), "--mock", str(right)])
+    assert _files(out) == before
+
+
+def test_report_rejects_a_repeated_record_row_and_writes_nothing(math_run, capsys):
+    problems, config, transcript, tmp_path = math_run
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    records = out / "records.jsonl"
+    lines = records.read_text().splitlines(keepends=True)
+    repeats = [line for line in lines if json.loads(line)["item_id"] == problems[0].id]
+    assert len(repeats) == 2  # its direct_cot and plan_augmented rows
+    records.write_text("".join(lines + repeats))
+    before = _files(out)
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {len(lines) + 1}: ")
+    assert str(records) in err[0] and "repeated" in err[0]
+    assert _files(out) == before
+
+
+def test_records_of_one_item_under_two_planners_are_not_repeats(tmp_path):
+    rows = [
+        EvalRecord(item_id="i1", condition=Condition.CROSS_MODEL_PLAN, score=1.0, step_count=2,
+                   solver_model="a", planner_model=planner)
+        for planner in ("p", "q")
+    ]
+    write_jsonl(tmp_path / "records.jsonl", map(vars, rows))
+    assert load_records(tmp_path / "records.jsonl") == rows
+
+
+def test_report_summarizes_before_it_writes_the_manifest(math_run, monkeypatch):
+    _, config, transcript, tmp_path = math_run
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    write_json(out / "probe_summary.json", {"models": {"mock-model": {"p_exe": 0.5}}})
+    before = _files(out)
+
+    def failing_summarize(*args, **kwargs):
+        raise RuntimeError("summarize failed")
+
+    monkeypatch.setattr(runner_module, "summarize", failing_summarize)
+    with pytest.raises(RuntimeError):
+        cli_dispatch(["report", "--config", str(config)])
+    assert _files(out) == before
 
 
 @pytest.mark.parametrize("command", ["probe", "eval-math", "plan"])
