@@ -10,7 +10,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -59,9 +59,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_json_object(path: Path) -> tuple[dict, str | None]:
+    """The JSON object in `path` and the sha256 of its bytes; ({}, None) without the file."""
+    try:
+        raw = path.read_bytes()
+        data = json.loads(raw)
+    except FileNotFoundError:
+        return {}, None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path} is not readable JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    return data, hashlib.sha256(raw).hexdigest()
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: model roster, corpus, condition matrix, run knobs.
+    """One experiment: model roster, corpus, condition matrix, run knobs, and
+    the sha256 of the config file. `load` builds it and holds the defaults.
 
     Relative paths in the file resolve against the config's directory.
     """
@@ -69,32 +84,30 @@ class RunConfig:
     task: str
     corpus: Path
     models: tuple[ModelSpec, ...]
-    planners: tuple[str, ...] = ()
-    conditions: tuple[str, ...] = ("direct_cot",)
-    cache_dir: Path = Path("runs/cache")
-    output_dir: Path = Path("runs/out")
-    concurrency: int = 8
-    seed: int = 0
-    teacher_model: str | None = None
-    sft_mode: str = "all"
-    raw_bytes: bytes = field(default=b"", repr=False, compare=False)
+    planners: tuple[str, ...]
+    conditions: tuple[str, ...]
+    cache_dir: Path
+    output_dir: Path
+    concurrency: int
+    seed: int
+    teacher_model: str | None
+    sft_mode: str
+    config_hash: str
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        try:
-            raw = path.read_bytes()
-            data = json.loads(raw)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} is not a JSON object")
-        known = {f.name for f in fields(cls) if f.name != "raw_bytes"} | {"description"}
+        data, digest = _read_json_object(path)
+        if digest is None:
+            raise ConfigError(f"config file not found: {path}")
+        known = {f.name for f in fields(cls) if f.name != "config_hash"} | {"description"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"config {path}: unknown key {', '.join(map(repr, unknown))}")
+        for key, kind in (("seed", int), ("concurrency", int),
+                          ("models", list), ("planners", list), ("conditions", list)):
+            if type(data.get(key, kind())) is not kind:  # exact type: true is no integer
+                raise ConfigError(f"config {path}: {key} is {data[key]!r}, not {kind.__name__}")
         base = path.parent
 
         def respath(value: str) -> Path:
@@ -111,11 +124,11 @@ class RunConfig:
                 conditions=tuple(data.get("conditions", ("direct_cot",))),
                 cache_dir=respath(data.get("cache_dir", "runs/cache")),
                 output_dir=respath(data.get("output_dir", "runs/out")),
-                concurrency=int(data.get("concurrency", 8)),
-                seed=int(data.get("seed", 0)),
+                concurrency=data.get("concurrency", 8),
+                seed=data.get("seed", 0),
                 teacher_model=data.get("teacher_model"),
                 sft_mode=data.get("sft_mode", "all"),
-                raw_bytes=raw,
+                config_hash=digest,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
@@ -160,9 +173,6 @@ class RunConfig:
         by_name = {m.name: m for m in self.models}
         return tuple(by_name[p] for p in self.planners)
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_bytes).hexdigest()
-
     def resolved_matrix(self) -> list[tuple[str, str, str | None]]:
         """Explicit (condition, solver, planner) tuples this config will run."""
         return [
@@ -174,9 +184,11 @@ class RunConfig:
 
 
 def build_manifest(config: RunConfig, item_count: int) -> dict:
-    """Provenance of the outputs written beside it; `eval-*` and `report` add its `inputs`."""
+    """Provenance of the outputs a command writes beside it. Each command reads
+    the manifest it finds before any model call and writes it, updated with
+    these fields, after all of its other outputs."""
     return {
-        "config_hash": config.config_hash(),
+        "config_hash": config.config_hash,
         "template_hashes": template_hashes(),
         "corpus_hash": hashlib.sha256(config.corpus.read_bytes()).hexdigest(),
         "probe_prompt": PROBE_PROMPT,
@@ -185,16 +197,6 @@ def build_manifest(config: RunConfig, item_count: int) -> dict:
         "created_at": time.time(),
         "planned": {"items": item_count, "jobs": item_count * len(config.resolved_matrix())},
     }
-
-
-def _manifest_keeping_inputs(config: RunConfig, item_count: int, out: Path) -> dict:
-    """`build_manifest`, with the `inputs` of the manifest in `out` it will
-    replace: the reports beside that manifest still summarize those inputs."""
-    manifest = build_manifest(config, item_count)
-    old = _read_json_object(out / "manifest.json")[0]
-    if "inputs" in old:
-        manifest["inputs"] = old["inputs"]
-    return manifest
 
 
 # --- record persistence ---------------------------------------------------
@@ -211,14 +213,25 @@ def save_probe_results(results: Sequence[ProbeResult], path: Path) -> None:
     write_jsonl(path, rows)
 
 
+# The types of a record row's fields, matched exactly: a boolean is no number.
+_RECORD_TYPES = {"item_id": (str,), "condition": (str,), "solver_model": (str,),
+                 "planner_model": (str, type(None)), "score": (int, float), "step_count": (int,)}
+
+
 def _record(obj, cells: set) -> EvalRecord:
+    obj = {"planner_model": None, **obj}
+    for name, types in _RECORD_TYPES.items():
+        if type(obj[name]) not in types:
+            raise TypeError(f"{name} is {obj[name]!r}, not {'/'.join(t.__name__ for t in types)}")
+    if obj["step_count"] < 0:
+        raise ValueError(f"step_count is {obj['step_count']}, below 0")
     r = EvalRecord(
         item_id=obj["item_id"],
         condition=Condition(obj["condition"]),
         score=obj["score"],
         step_count=obj["step_count"],
         solver_model=obj["solver_model"],
-        planner_model=obj.get("planner_model"),
+        planner_model=obj["planner_model"],
         response_text=obj.get("response_text", ""),
         plan_text=obj.get("plan_text"),
         flags=tuple(obj.get("flags", ())),
@@ -628,11 +641,9 @@ def _cmd_probe(args) -> int:
     if not probes:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
-    manifest = _manifest_keeping_inputs(config, len(problems), out)
+    found = _read_json_object(out / "manifest.json")[0]
     runs = {model.name: measure_p_exe(gateway, model, probes) for model in config.models}
-    for name, run in runs.items():
-        save_probe_results(run.results, _probes_path(out, name))
-    write_json(out / "manifest.json", manifest)
+    made = build_manifest(config, len(problems))
     per_model = {
         name: {"p_exe": run.p_exe if run.results else None,
                "graded": len(run.results), "ungraded": len(run.ungraded)}
@@ -642,26 +653,15 @@ def _cmd_probe(args) -> int:
         "models": per_model,
         "probe_count": len(probes),
         "skipped_expressions": extraction.skipped_count,
-        "corpus_hash": manifest["corpus_hash"],
+        "corpus_hash": made["corpus_hash"],
     }
+    for name, run in runs.items():
+        save_probe_results(run.results, _probes_path(out, name))
     write_json(out / "probe_summary.json", payload)
+    write_json(out / "manifest.json", found | made)
     for name, row in sorted(per_model.items()):
         print(f"{name}: p_exe={row['p_exe']} graded={row['graded']} ungraded={row['ungraded']}")
     return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK
-
-
-def _read_json_object(path: Path) -> tuple[dict, str | None]:
-    """The JSON object in `path` and the sha256 of its bytes; ({}, None) without the file."""
-    try:
-        raw = path.read_bytes()
-        data = json.loads(raw)
-    except FileNotFoundError:
-        return {}, None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path} is not readable JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} is not a JSON object")
-    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
@@ -677,41 +677,39 @@ def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
     return p_exe, digest
 
 
-def _summarize_and_emit(
-    records: Sequence[EvalRecord], records_path: Path, probe: tuple[dict, str | None],
-    manifest: dict, config: RunConfig, out: Path,
-) -> None:
-    """Summarize, then write `manifest` (seed, probe summary, records used) and the reports."""
-    summary = summarize(records, config.task, p_exe_by_model=probe[0], seed=config.seed)
-    records_hash = hashlib.sha256(records_path.read_bytes()).hexdigest()
-    manifest["seed"] = config.seed
-    manifest["inputs"] = {"probe_summary": probe[1], "records": records_hash}
-    write_json(out / "manifest.json", manifest)
+def _emit(records: Sequence[EvalRecord], summary: Summary, probe_hash: str | None,
+          manifest: dict, config: RunConfig, out: Path) -> None:
+    """Write the reports of `summary`, then `manifest` with the seed the bootstrap
+    used and the sha256 of the probe summary and records the reports summarize."""
     emit_report(records, summary, out)
+    inputs = {"probe_summary": probe_hash,
+              "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
+    write_json(out / "manifest.json", manifest | {"seed": config.seed, "inputs": inputs})
 
 
 def _cmd_eval(args, task: str) -> int:
-    """Run the condition matrix, then write the records, failures, manifest
-    and reports. Rerunning is resuming: every answered request replays from
-    the cache, so only the unanswered ones reach the transport."""
+    """Run and summarize the condition matrix, then write the records, failures,
+    reports and manifest. Rerunning is resuming: every answered request replays
+    from the cache, so only the unanswered ones reach the transport."""
     config = _require_config(args)
     if config.task != task:
         raise ConfigError(f"config task is {config.task!r}, expected {task!r}")
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
-    probe = _read_probe_summary(out / "probe_summary.json")  # checked before any model call
+    p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
+    found = _read_json_object(out / "manifest.json")[0]
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
-    records_path = out / "records.jsonl"
-    save_records(run.records, records_path)
+    summary = summarize(run.records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    save_records(run.records, out / "records.jsonl")
     failures_path = out / "failures.jsonl"
     if run.failures:
         write_jsonl(failures_path, map(vars, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
-    manifest = build_manifest(config, len(corpus))
-    _summarize_and_emit(run.records, records_path, probe, manifest, config, out)
+    manifest = found | build_manifest(config, len(corpus))
+    _emit(run.records, summary, probe_hash, manifest, config, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -732,10 +730,10 @@ def _cmd_plan(args) -> int:
     corpus = _load_corpus(config)
     planners = config.planner_specs or config.models
     gateway = _gateway(config, args)
-    manifest = _manifest_keeping_inputs(config, len(corpus), out)
+    found = _read_json_object(out / "manifest.json")[0]
     results = generate_plans(gateway, planners, corpus)
-    write_json(out / "manifest.json", manifest)
     write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
+    write_json(out / "manifest.json", found | build_manifest(config, len(corpus)))
     return EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
 
 
@@ -781,7 +779,7 @@ def _cmd_build_sft(args) -> int:
     out = _out_dir(config, args)
     corpus = _load_corpus(config)
     teacher = config.teacher_model
-    manifest = _manifest_keeping_inputs(config, len(corpus), out)
+    found = _read_json_object(out / "manifest.json")[0]
     plans = {}
     if config.sft_mode in ("all", "plan_only"):
         if teacher is None:
@@ -797,7 +795,7 @@ def _cmd_build_sft(args) -> int:
         )
     except sftgen.AnswerLeak as exc:
         raise ConfigError(str(exc)) from exc
-    write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", found | build_manifest(config, len(corpus)))
     print(f"wrote {corpus_path} and {meta_path}")
     return EXIT_OK
 
@@ -809,9 +807,10 @@ def _cmd_report(args) -> int:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    probe = _read_probe_summary(out / "probe_summary.json")
-    manifest = _read_json_object(out / "manifest.json")[0]
-    _summarize_and_emit(records, records_path, probe, manifest, config, out)
+    p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
+    found = _read_json_object(out / "manifest.json")[0]
+    summary = summarize(records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    _emit(records, summary, probe_hash, found, config, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

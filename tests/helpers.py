@@ -7,7 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from planeval.corpora import load_gsm8k, load_toolbench
+from planeval.arith import PROBE_PROMPT
+from planeval.corpora import extract_probes, load_gsm8k, load_toolbench
 from planeval.planflow import render_call_sequence, render_prompt
 
 MATH_PLAN_TEXT = (
@@ -101,6 +102,18 @@ def math_transcript_entries(problems, wrong_direct_ids=(), unparseable_direct_id
         guided = f"Following the idea carefully. The final answer is: {gold}"
         entries.append((render_prompt("guided", p, MATH_PLAN_TEXT), guided))
     return entries
+
+
+def probe_entries(problems, wrong_every: int = 0) -> list[tuple[str, str]]:
+    """A transcript answer for every probe of `problems`; with `wrong_every`
+    k, every k-th answer is off by one."""
+    return [
+        (
+            PROBE_PROMPT.format(expression=p.expression),
+            str(p.exact_value + 1 if wrong_every and k % wrong_every == 0 else p.exact_value),
+        )
+        for k, p in enumerate(extract_probes(problems).probes)
+    ]
 
 
 TOOL_FUNCTIONS = [

@@ -17,6 +17,7 @@ from helpers import (
     gold_number,
     make_math_lines,
     math_transcript_entries,
+    probe_entries,
     tool_transcript_entries,
     write_gsm8k_file,
 )
@@ -114,7 +115,7 @@ def test_config_loads_and_resolves_relative_paths(tmp_path):
     config = RunConfig.load(config_path)
     assert config.corpus == tmp_path / "corpus.jsonl"
     assert config.cache_dir == tmp_path / "cache"
-    assert len(config.config_hash()) == 64
+    assert len(config.config_hash) == 64
 
 
 def test_unknown_config_key_exits_2_before_any_model_call(math_run, capsys):
@@ -195,6 +196,22 @@ def test_negative_seed_rejected_before_any_model_call(math_run):
     with pytest.raises(ConfigError):
         RunConfig.load(negative)
     assert cli_dispatch(argv + ["--config", str(negative)]) == EXIT_CONFIG
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.7), ("seed", True), ("seed", "3"), ("concurrency", 2.9), ("concurrency", True),
+    ("planners", "mock-model"), ("conditions", "direct_cot"), ("models", {"name": "mock-model"}),
+])
+def test_config_value_of_the_wrong_json_type_exits_2_before_any_model_call(
+    math_run, capsys, key, value
+):
+    _, _, transcript, tmp_path = math_run
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", **{key: value})
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config {config}: {key} is {value!r}, not ")
     assert not (tmp_path / "cache").exists()
     assert not (tmp_path / "out").exists()
 
@@ -896,18 +913,6 @@ def test_cli_removed_flags_exit_2_without_output(math_run, command, flag, value)
 # --- execution ceiling and its inputs -----------------------------------------
 
 
-def probe_entries(problems, wrong_every: int = 0) -> list[tuple[str, str]]:
-    """A transcript answer for every probe of `problems`; with `wrong_every`
-    k, every k-th answer is off by one."""
-    return [
-        (
-            PROBE_PROMPT.format(expression=p.expression),
-            str(p.exact_value + 1 if wrong_every and k % wrong_every == 0 else p.exact_value),
-        )
-        for k, p in enumerate(extract_probes(problems).probes)
-    ]
-
-
 def read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -1001,9 +1006,11 @@ def test_plan_build_sft_and_probe_keep_the_inputs_of_the_manifest_they_replace(m
     out = tmp_path / "out"
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
     inputs = read_json(out / "manifest.json")["inputs"]
+    write_json(out / "manifest.json", dict(read_json(out / "manifest.json"), note=[1, "kept"]))
     for command, codes in (("plan", (0,)), ("build-sft", (0,)), ("probe", (0, 1))):
         assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) in codes
-        assert read_json(out / "manifest.json")["inputs"] == inputs
+        manifest = read_json(out / "manifest.json")
+        assert (manifest["inputs"], manifest["note"]) == (inputs, [1, "kept"])
 
 
 def test_stored_step_distribution_does_not_change_the_report(math_run):
@@ -1189,6 +1196,89 @@ def test_report_summarizes_before_it_writes_the_manifest(math_run, monkeypatch):
     monkeypatch.setattr(runner_module, "summarize", failing_summarize)
     with pytest.raises(RuntimeError):
         cli_dispatch(["report", "--config", str(config)])
+    assert _files(out) == before
+
+
+def test_every_command_writes_its_outputs_after_its_work_and_the_manifest_last(
+    math_run, monkeypatch
+):
+    problems, _, _, tmp_path = math_run
+    config = write_config(
+        tmp_path, tmp_path / "corpus.jsonl", conditions=["direct_cot", "plan_augmented"],
+        teacher_model="mock-model",
+    )
+    transcript = write_transcript(
+        tmp_path / "full.jsonl", math_transcript_entries(problems) + probe_entries(problems)
+    )
+    out = tmp_path / "out"
+    events = []
+    replace, complete = os.replace, runner_module.Gateway.complete
+
+    def logged_replace(src, dst):
+        replace(src, dst)
+        if Path(dst).parent == out:
+            events.append(Path(dst).name)
+
+    def logged_complete(self, *args, **kwargs):
+        events.append("<model call>")
+        return complete(self, *args, **kwargs)
+
+    def logged_summarize(*args, _original=runner_module.summarize, **kwargs):
+        events.append("<summarize>")
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", logged_replace)
+    monkeypatch.setattr(runner_module.Gateway, "complete", logged_complete)
+    monkeypatch.setattr(runner_module, "summarize", logged_summarize)
+    for command in ("probe", "eval-math", "report", "plan", "build-sft"):
+        events.clear()
+        assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+        work = [k for k, e in enumerate(events) if e.startswith("<")]
+        writes = [k for k, e in enumerate(events) if not e.startswith("<")]
+        assert work and writes and max(work) < min(writes), (command, events)
+        assert events[-1] == "manifest.json" and events.count("manifest.json") == 1, (command, events)
+
+
+def test_eval_on_an_unreadable_manifest_exits_2_before_any_model_call(math_run, capsys, monkeypatch):
+    _, config, transcript, tmp_path = math_run
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text("[1,2")
+    made = []
+
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest} is not readable JSON")
+    assert sum(t.calls for t in made) == 0
+    assert _files(tmp_path / "out") == {manifest: b"[1,2"}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_count", 2.5), ("step_count", -3), ("step_count", True), ("score", True),
+    ("score", "1"), ("solver_model", 5), ("item_id", 7), ("condition", 1), ("planner_model", 5),
+])
+def test_report_rejects_a_record_field_of_the_wrong_type_and_writes_nothing(
+    math_run, capsys, field, value
+):
+    _, config, transcript, tmp_path = math_run
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    records = out / "records.jsonl"
+    lines = records.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(dict(json.loads(lines[2]), **{field: value})) + "\n"
+    records.write_text("".join(lines))
+    before = _files(out)
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 3: bad record row in ")
+    assert str(records) in err[0] and field in err[0]
     assert _files(out) == before
 
 
