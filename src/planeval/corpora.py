@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import arith
-from .jsonio import FormatError, read_jsonl
+from .jsonio import FormatError, check_row, read_jsonl
 
 ANNOTATION_RE = re.compile(r"<<([^<>]*)>>")
 FINAL_ANSWER_RE = re.compile(r"####\s*([^\n]*)")
@@ -172,8 +172,9 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     problems: list[MathProblem] = []
     seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
-        if "question" not in obj or "answer" not in obj:
+        if not isinstance(obj, dict) or "question" not in obj or "answer" not in obj:
             raise FormatError(f"missing question/answer field in {path}", line_no)
+        check_row(obj, {"question": (str,), "answer": (str,)}, path, line_no)
         question = obj["question"]
         solution = obj["answer"]
         item_id = str(obj.get("id", f"g{line_no:05d}"))
@@ -277,8 +278,9 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
     seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
         for key in ("task", "functions", "calls"):
-            if key not in obj:
+            if not isinstance(obj, dict) or key not in obj:
                 raise FormatError(f"missing {key} field in {path}", line_no)
+        check_row(obj, {"task": (str,), "functions": (list,), "calls": (list,)}, path, line_no)
         item_id = str(obj.get("id", f"tool-{line_no:05d}"))
         if item_id in seen:
             raise FormatError(f"repeated item id {item_id!r} in {path}", line_no)
@@ -287,19 +289,18 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
         for f in obj["functions"]:
             if not isinstance(f, dict) or not f.get("name"):
                 raise FormatError(f"function entry missing name in {path}", line_no)
-            functions.append(
-                FunctionSpec(
-                    name=f["name"],
-                    description=f.get("description", ""),
-                    parameters=f.get("parameters", {}),
-                )
-            )
+            f = {"description": "", "parameters": {}, **f}
+            check_row(f, {"name": (str,), "description": (str,), "parameters": (dict,)},
+                      path, line_no)
+            functions.append(FunctionSpec(f["name"], f["description"], f["parameters"]))
         known = {f.name for f in functions}
 
         gold: list[ToolCall] = []
         for call in obj["calls"]:
             if not isinstance(call, dict) or not call.get("name"):
                 raise FormatError(f"call entry missing name in {path}", line_no)
+            call = {"params": {}, **call}
+            check_row(call, {"name": (str,), "params": (dict,)}, path, line_no)
             if "success" in call:
                 ok = bool(call["success"])
             else:
@@ -307,7 +308,7 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
             if not ok:
                 dropped_calls += 1
                 continue
-            params = tuple((str(k), str(v)) for k, v in (call.get("params") or {}).items())
+            params = tuple((str(k), str(v)) for k, v in call["params"].items())
             gold.append(ToolCall(name=call["name"], params=params))
 
         distinct = {c.name for c in gold}

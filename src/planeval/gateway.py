@@ -22,7 +22,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .jsonio import FormatError, atomic_open, json_line, read_jsonl, write_jsonl
+from .jsonio import (
+    FormatError, atomic_open, check_row, check_types, json_line, read_jsonl, write_jsonl,
+)
 
 VALID_ROLES = ("system", "user", "assistant")
 DEFAULT_MAX_IN_FLIGHT = 8
@@ -84,8 +86,12 @@ class ModelSpec:
     temperature: float = 0.0
     max_tokens: int = 1024
     timeout: float = 60.0
+    # The JSON types of the fields above, matched exactly (a class attribute, not a field).
+    TYPES = {"name": (str,), "endpoint_url": (str,), "api_key_env": (str,),
+             "temperature": (int, float), "max_tokens": (int,), "timeout": (int, float)}
 
     def __post_init__(self) -> None:
+        check_types(vars(self), self.TYPES)
         if not self.name:
             raise ValueError("model name must be nonempty")
         if not 0.0 <= self.temperature <= 2.0:
@@ -242,9 +248,11 @@ class HttpTransport:
             text = choice["message"]["content"]
             finish = choice.get("finish_reason") or "stop"
             usage = data.get("usage") or {}
+            check_types({"content": text, "usage": usage},
+                        {"content": (str, type(None)), "usage": (dict,)})
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ApiError(status, raw.decode("utf-8", errors="replace")) from exc
-        return ChatResponse(text=text or "", finish_reason=finish, token_usage=dict(usage))
+        return ChatResponse(text=text or "", finish_reason=finish, token_usage=usage)
 
 
 class MockTransport:
@@ -282,6 +290,8 @@ class MockTransport:
         for line_no, obj in read_jsonl(path):
             if not isinstance(obj, dict) or "response_text" not in obj:
                 raise FormatError(f"no response_text in transcript {path}", line_no)
+            keys = ("response_text", "prompt_digest", "prompt_text")
+            check_row(obj, {key: (str,) for key in keys if key in obj}, path, line_no)
             if "prompt_digest" in obj:
                 self._by_digest[obj["prompt_digest"]] = obj["response_text"]
             elif "prompt_text" in obj:

@@ -26,6 +26,22 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+def check_types(obj: dict, fields: dict[str, tuple[type, ...]]) -> None:
+    """Raise TypeError for the first of `fields` whose value in `obj` is not
+    exactly one of its types, so a boolean is never a number."""
+    for name, types in fields.items():
+        if type(obj[name]) not in types:
+            raise TypeError(f"{name} is {obj[name]!r}, not {'/'.join(t.__name__ for t in types)}")
+
+
+def check_row(obj: dict, fields: dict[str, tuple[type, ...]], path, line_no: int) -> None:
+    """`check_types` on the row at `line_no` of `path`, failing with FormatError."""
+    try:
+        check_types(obj, fields)
+    except TypeError as exc:
+        raise FormatError(f"{exc} in {path}", line_no) from None
+
+
 @contextmanager
 def atomic_open(path: str | Path):
     """Open a text file that replaces `path` when the block exits cleanly.

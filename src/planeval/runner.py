@@ -10,7 +10,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -27,7 +27,8 @@ from .corpora import (
     step_distribution,
 )
 from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
-from .jsonio import FormatError, atomic_open, read_lines, read_rows, write_json, write_jsonl
+from .jsonio import FormatError, atomic_open, check_types, read_lines, read_rows
+from .jsonio import write_json, write_jsonl
 from .planflow import (
     Plan,
     expand_matrix,
@@ -73,12 +74,29 @@ def _read_json_object(path: Path) -> tuple[dict, str | None]:
     return data, hashlib.sha256(raw).hexdigest()
 
 
+# The config format: each key's JSON types, matched exactly, and its default.
+_REQUIRED = object()  # the default of a key that every config must give
+_CONFIG_KEYS: dict[str, tuple[tuple[type, ...], object]] = {
+    "description": ((str,), ""),
+    "task": ((str,), "math"),
+    "corpus": ((str,), _REQUIRED),
+    "models": ((list,), _REQUIRED),
+    "planners": ((list,), []),
+    "conditions": ((list,), ["direct_cot"]),
+    "cache_dir": ((str,), "runs/cache"),
+    "output_dir": ((str,), "runs/out"),
+    "concurrency": ((int,), 8),
+    "seed": ((int,), 0),
+    "teacher_model": ((str, type(None)), None),
+    "sft_mode": ((str,), "all"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: model roster, corpus, condition matrix, run knobs, and
-    the sha256 of the config file. `load` builds it and holds the defaults.
-
-    Relative paths in the file resolve against the config's directory.
+    the sha256 of the config file. `load` reads it from a file in the format
+    of `_CONFIG_KEYS`; relative paths resolve against the file's directory.
     """
 
     task: str
@@ -100,73 +118,56 @@ class RunConfig:
         data, digest = _read_json_object(path)
         if digest is None:
             raise ConfigError(f"config file not found: {path}")
-        known = {f.name for f in fields(cls) if f.name != "config_hash"} | {"description"}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"config {path}: unknown key {', '.join(map(repr, unknown))}")
-        for key, kind in (("seed", int), ("concurrency", int),
-                          ("models", list), ("planners", list), ("conditions", list)):
-            if type(data.get(key, kind())) is not kind:  # exact type: true is no integer
-                raise ConfigError(f"config {path}: {key} is {data[key]!r}, not {kind.__name__}")
-        base = path.parent
-
-        def respath(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
         try:
-            models = tuple(ModelSpec(**m) for m in data["models"])
-            cfg = cls(
-                task=data.get("task", "math"),
-                corpus=respath(data["corpus"]),
-                models=models,
-                planners=tuple(data.get("planners", ())),
-                conditions=tuple(data.get("conditions", ("direct_cot",))),
-                cache_dir=respath(data.get("cache_dir", "runs/cache")),
-                output_dir=respath(data.get("output_dir", "runs/out")),
-                concurrency=data.get("concurrency", 8),
-                seed=data.get("seed", 0),
-                teacher_model=data.get("teacher_model"),
-                sft_mode=data.get("sft_mode", "all"),
-                config_hash=digest,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            v = {key: data[key] if default is _REQUIRED else data.get(key, default)
+                 for key, (_, default) in _CONFIG_KEYS.items()}
+            check_types(v, {key: types for key, (types, _) in _CONFIG_KEYS.items()})
+            for key in ("planners", "conditions"):
+                if not all(isinstance(entry, str) for entry in v[key]):
+                    raise TypeError(f"{key} is {v[key]!r}, not a list of str")
+                v[key] = tuple(v[key])
+            v["models"] = tuple(ModelSpec(**m) for m in v["models"])
+        except KeyError as exc:
+            raise ConfigError(f"config {path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.task not in ("math", "tools"):
-            raise ConfigError(f"unknown task {self.task!r}")
-        if not self.models:
+        del v["description"]
+        for key in ("corpus", "cache_dir", "output_dir"):
+            v[key] = path.parent / v[key]
+        cfg = cls(**v, config_hash=digest)
+        if cfg.task not in ("math", "tools"):
+            raise ConfigError(f"unknown task {cfg.task!r}")
+        if not cfg.models:
             raise ConfigError("at least one model required")
-        names = {m.name for m in self.models}
-        if len(names) != len(self.models):
+        names = {m.name for m in cfg.models}
+        if len(names) != len(cfg.models):
             raise ConfigError("duplicate model names")
-        for kind, values in (("planner", self.planners), ("condition", self.conditions)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
+        for kind, values in (("planner", cfg.planners), ("condition", cfg.conditions)):
+            repeated = sorted({x for x in values if values.count(x) > 1})
             if repeated:
                 raise ConfigError(f"repeated {kind}: {', '.join(repeated)}")
-        for p in self.planners:
+        for p in cfg.planners:
             if p not in names:
                 raise ConfigError(f"planner {p!r} not among declared models")
-        for cond in self.conditions:
-            try:
-                Condition(cond)
-            except ValueError:
-                raise ConfigError(f"unknown condition {cond!r}") from None
-        if Condition.CROSS_MODEL_PLAN.value in self.conditions and not self.planners:
+        for cond in cfg.conditions:
+            if cond not in {c.value for c in Condition}:
+                raise ConfigError(f"unknown condition {cond!r}")
+        if Condition.CROSS_MODEL_PLAN.value in cfg.conditions and not cfg.planners:
             raise ConfigError("cross_model_plan requires a planners list")
-        if self.teacher_model is not None and self.teacher_model not in names:
-            raise ConfigError(f"teacher model {self.teacher_model!r} not declared")
-        if self.sft_mode not in sftgen.MODES:
-            raise ConfigError(f"unknown sft_mode {self.sft_mode!r}, expected one of {sftgen.MODES}")
-        if not self.corpus.exists():
-            raise ConfigError(f"corpus file not found: {self.corpus}")
-        if self.concurrency < 1:
+        if cfg.teacher_model is not None and cfg.teacher_model not in names:
+            raise ConfigError(f"teacher model {cfg.teacher_model!r} not declared")
+        if cfg.sft_mode not in sftgen.MODES:
+            raise ConfigError(f"unknown sft_mode {cfg.sft_mode!r}, expected one of {sftgen.MODES}")
+        if not cfg.corpus.exists():
+            raise ConfigError(f"corpus file not found: {cfg.corpus}")
+        if cfg.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
-        if self.seed < 0:
+        if cfg.seed < 0:
             raise ConfigError("seed must be >= 0")
+        return cfg
 
     @property
     def planner_specs(self) -> tuple[ModelSpec, ...]:
@@ -220,9 +221,7 @@ _RECORD_TYPES = {"item_id": (str,), "condition": (str,), "solver_model": (str,),
 
 def _record(obj, cells: set) -> EvalRecord:
     obj = {"planner_model": None, **obj}
-    for name, types in _RECORD_TYPES.items():
-        if type(obj[name]) not in types:
-            raise TypeError(f"{name} is {obj[name]!r}, not {'/'.join(t.__name__ for t in types)}")
+    check_types(obj, _RECORD_TYPES)
     if obj["step_count"] < 0:
         raise ValueError(f"step_count is {obj['step_count']}, below 0")
     r = EvalRecord(

@@ -112,6 +112,16 @@ def test_model_spec_invariants():
     assert ModelSpec(name="m").temperature == 0.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", 5), ("endpoint_url", None), ("api_key_env", 5), ("temperature", True),
+    ("temperature", "0"), ("max_tokens", True), ("max_tokens", 1.5), ("timeout", False),
+])
+def test_model_spec_field_of_the_wrong_type_is_a_type_error(field, value):
+    with pytest.raises(TypeError, match=f"^{field} is {value!r}, not "):
+        ModelSpec(**{"name": "m", field: value})
+    assert ModelSpec(name="m", temperature=1, timeout=5).timeout == 5  # an integer is a number
+
+
 def test_second_call_served_from_cache(tmp_path, model_spec):
     transport = MockTransport(by_prompt={"P": "42"})
     gw = Gateway(tmp_path / "c", transport=transport, retry=RetryPolicy(base_delay=0))
@@ -442,13 +452,20 @@ def test_mock_runs_are_bit_reproducible(tmp_path, model_spec):
     assert texts[0] == texts[1]
 
 
+def _success_body(content="pong", usage=None) -> bytes:
+    """A 200 body of the chat-completions format with `content` and `usage`."""
+    return json.dumps(
+        {"choices": [{"message": {"content": content}, "finish_reason": "stop"}], "usage": usage}
+    ).encode()
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each request by the next script step: an HTTP status (a 3xx
     points at `location`), "stall" (a 200 sent after the client's timeout),
-    "garbage" (a 200 whose body is not JSON) or "retry-after" (a 503 advising
-    a 2 s wait)."""
+    bytes (a 200 with that body) or "retry-after" (a 503 advising a 2 s
+    wait)."""
 
-    script: list[int | str] = []
+    script: list[int | str | bytes] = []
     location = ""
     hits = 0
     last_headers = None
@@ -466,17 +483,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             status = 200
         if status == "retry-after":
             status, extra = 503, {"Retry-After": "2"}
-        if status == "garbage":
-            status, body = 200, b"<html>busy</html>"
+        if isinstance(status, bytes):
+            status, body = 200, status
         elif 300 <= status < 400:
             body, extra = b"moved", {"Location": cls.location}
         elif status == 200:
-            body = json.dumps(
-                {
-                    "choices": [{"message": {"content": "pong"}, "finish_reason": "stop"}],
-                    "usage": {"total_tokens": 3},
-                }
-            ).encode()
+            body = _success_body(usage={"total_tokens": 3})
         else:
             body = b'{"error": "scripted"}'
         self.send_response(status)
@@ -606,14 +618,22 @@ def test_server_stalling_past_timeout_raises_transport_error(tmp_path, stub_serv
     assert handler.hits == 1
 
 
-def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_server):
-    url, handler = stub_server(["garbage"])
+@pytest.mark.parametrize("body", [
+    b"<html>busy</html>",
+    _success_body(content=[{"type": "text", "text": "pong"}]),
+    _success_body(content=5),
+    _success_body(usage=[3]),
+    _success_body(usage="3 tokens"),
+], ids=["not-json", "content-list", "content-number", "usage-list", "usage-string"])
+def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_server, body):
+    url, handler = stub_server([body])
     spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
     with pytest.raises(ApiError) as err:
         _live_gateway(tmp_path).complete(spec, [user_message("ping")])
     assert err.value.status == 200
-    assert err.value.body == "<html>busy</html>"
+    assert err.value.body == body.decode()
     assert handler.hits == 1  # a 2xx is not retried
+    assert not list((tmp_path / "c").glob("*/*.json"))  # nor cached
 
 
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from planeval.jsonio import FormatError, atomic_open, json_line, read_jsonl, write_json, write_jsonl
+from planeval.jsonio import (
+    FormatError, atomic_open, check_row, check_types, json_line, read_jsonl, write_json, write_jsonl,
+)
 
 
 def test_atomic_open_keeps_old_file_and_no_temp_when_writer_raises(tmp_path):
@@ -57,3 +59,25 @@ def test_read_jsonl_decodes_text_across_read_buffers_and_numbers_a_line_that_is_
     path.write_bytes(path.read_bytes() + b'{"t": "\xc3"}\n{"t": "ok"}\n')  # a truncated sequence
     with pytest.raises(FormatError, match=f"line {len(rows) + 1}: not UTF-8 text in "):
         list(read_jsonl(path))
+
+
+def test_check_types_matches_exactly_and_names_the_first_wrong_field():
+    fields = {"n": (int,), "x": (int, float), "s": (str, type(None))}
+    check_types({"n": 1, "x": 2, "s": None}, fields)
+    check_types({"n": 1, "x": 2.5, "s": "a", "extra": object()}, fields)
+    for row, message in [
+        ({"n": True, "x": True, "s": 1}, "n is True, not int"),
+        ({"n": 1, "x": False, "s": 1}, "x is False, not int/float"),
+        ({"n": 1, "x": 1.0, "s": 1}, "s is 1, not str/NoneType"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            check_types(row, fields)
+        assert str(err.value) == message
+    with pytest.raises(KeyError):
+        check_types({"n": 1}, fields)
+
+
+def test_check_row_raises_format_error_with_the_line():
+    with pytest.raises(FormatError) as err:
+        check_row({"q": 5}, {"q": (str,)}, "c.jsonl", 7)
+    assert str(err.value) == "line 7: q is 5, not str in c.jsonl" and err.value.line_no == 7

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from helpers import (
     build_tool_corpus,
     gold_number,
     make_math_lines,
+    make_tool_lines,
     math_transcript_entries,
     probe_entries,
     tool_transcript_entries,
@@ -131,6 +133,17 @@ def test_unknown_config_key_exits_2_before_any_model_call(math_run, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["corpus", "models"])
+def test_config_without_a_required_key_exits_2_naming_it(math_run, capsys, key):
+    _, config, transcript, tmp_path = math_run
+    data = json.loads(config.read_text())
+    del data[key]
+    config.write_text(json.dumps(data))
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"error: config {config}: missing key '{key}'"]
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("condition", ["zigzag", "sft_cot_baseline"])
 def test_config_rejects_unknown_condition(tmp_path, condition):
     build_math_corpus(tmp_path / "c.jsonl", count=1)
@@ -200,15 +213,56 @@ def test_negative_seed_rejected_before_any_model_call(math_run):
     assert not (tmp_path / "out").exists()
 
 
+_JSON_TYPE_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
+
+
+def _json_type(types: tuple) -> str:
+    """The README's name of a key's types: `(int, float)` is a number."""
+    return "number" if types == (int, float) else " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+
+
+def _readme_table(header: str) -> list[tuple[str, ...]]:
+    """The first three cells of each row of the README table under `header`."""
+    lines = (REPO_CONFIGS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|"))[:3])
+    return rows
+
+
+def test_readme_key_tables_state_exactly_the_config_and_model_formats():
+    config_rows = [
+        (f"`{key}`", _json_type(types),
+         "required" if default is runner_module._REQUIRED else f"`{json.dumps(default)}`")
+        for key, (types, default) in runner_module._CONFIG_KEYS.items()
+    ]
+    assert _readme_table("| key | JSON type | default | meaning |") == config_rows
+    defaults = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
+    model_rows = [
+        (f"`{key}`", _json_type(types),
+         "required" if defaults[key] is dataclasses.MISSING else f"`{json.dumps(defaults[key])}`")
+        for key, types in ModelSpec.TYPES.items()
+    ]
+    assert list(ModelSpec.TYPES) == list(defaults)
+    assert _readme_table("| model key | JSON type | default | meaning |") == model_rows
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", 1.7), ("seed", True), ("seed", "3"), ("concurrency", 2.9), ("concurrency", True),
     ("planners", "mock-model"), ("conditions", "direct_cot"), ("models", {"name": "mock-model"}),
+    ("name", 5), ("max_tokens", True), ("max_tokens", 1.5), ("temperature", True),
+    ("timeout", True), ("endpoint_url", 5), ("api_key_env", 5), ("planners", [{}]),
+    ("conditions", [1]), ("teacher_model", []), ("description", 5),
 ])
 def test_config_value_of_the_wrong_json_type_exits_2_before_any_model_call(
     math_run, capsys, key, value
 ):
     _, _, transcript, tmp_path = math_run
-    config = write_config(tmp_path, tmp_path / "corpus.jsonl", **{key: value})
+    model_keys = {f.name for f in dataclasses.fields(ModelSpec)}
+    overrides = {"models": [dict(MODEL, **{key: value})]} if key in model_keys else {key: value}
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", **overrides)
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config {config}: {key} is {value!r}, not ")
@@ -674,6 +728,15 @@ def test_plan_and_build_sft_key_plans_by_item_id(tmp_path, capsys, command):
         assert {r.source_id: r.target for r in rows} == {i: plans["q", i] for i in "abc"}
 
 
+def _tool_line(function=None, call=None, **fields) -> str:
+    """A valid tool corpus row with `fields` replaced and `function` and
+    `call` merged into its first function and first call."""
+    row = make_tool_lines(1)[0]
+    row["functions"] = [dict(row["functions"][0], **function or {}), *row["functions"][1:]]
+    row["calls"] = [dict(row["calls"][0], **call or {}), *row["calls"][1:]]
+    return json.dumps(dict(row, **fields)) + "\n"
+
+
 RECORD_WITHOUT_ITEM_ID = {
     "condition": "direct_cot", "score": 1.0, "step_count": 2, "solver_model": "mock-model"
 }
@@ -691,6 +754,19 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         ("eval-math", "corpus", json.dumps({"question": "q"}) + "\n"),
         ("eval-math", "corpus", json.dumps({"question": "q", "answer": "<<3+4>>\n#### 7"}) + "\n"),
         ("eval-math", "corpus", REPEATED_ID_CORPUS),
+        ("eval-math", "--mock", json.dumps({"prompt_text": "q", "response_text": 5}) + "\n"),
+        ("eval-math", "--mock", json.dumps({"prompt_text": 5, "response_text": "a"}) + "\n"),
+        ("eval-math", "--mock", json.dumps({"prompt_digest": 5, "response_text": "a"}) + "\n"),
+        ("eval-math", "corpus", json.dumps({"question": "q", "answer": 7}) + "\n"),
+        ("eval-math", "corpus", json.dumps({"question": 5, "answer": "<<3+4=7>>\n#### 7"}) + "\n"),
+        ("eval-math", "corpus", "7\n"),
+        ("eval-tools", "corpus", "7\n"),
+        ("eval-tools", "corpus", _tool_line(task=5)),
+        ("eval-tools", "corpus", _tool_line(functions=5)),
+        ("eval-tools", "corpus", _tool_line(function={"description": 5})),
+        ("eval-tools", "corpus", _tool_line(function={"parameters": []})),
+        ("eval-tools", "corpus", _tool_line(call={"name": 5})),
+        ("eval-tools", "corpus", _tool_line(call={"params": [1]})),
     ],
     ids=[
         "mock-missing",
@@ -701,6 +777,19 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         "corpus-no-answer",
         "corpus-bad-annotation",
         "corpus-repeated-id",
+        "mock-response-text-not-str",
+        "mock-prompt-text-not-str",
+        "mock-prompt-digest-not-str",
+        "corpus-answer-not-str",
+        "corpus-question-not-str",
+        "corpus-row-not-an-object",
+        "tools-row-not-an-object",
+        "tools-task-not-str",
+        "tools-functions-not-a-list",
+        "tools-function-description-not-str",
+        "tools-function-parameters-not-object",
+        "tools-call-name-not-str",
+        "tools-call-params-not-object",
     ],
 )
 def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
@@ -710,7 +799,8 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
     if content is not None:
         bad.write_text(content)
     if flag == "corpus":
-        argv = [command, "--config", str(write_config(tmp_path, bad)), "--mock", str(transcript)]
+        config = write_config(tmp_path, bad, task=command.removeprefix("eval-"))
+        argv = [command, "--config", str(config), "--mock", str(transcript)]
     elif flag == "records":
         argv = [command, "--config", str(config)]
     else:
