@@ -174,10 +174,11 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     for line_no, obj in read_jsonl(path):
         if not isinstance(obj, dict) or "question" not in obj or "answer" not in obj:
             raise FormatError(f"missing question/answer field in {path}", line_no)
-        check_row(obj, {"question": (str,), "answer": (str,)}, path, line_no)
+        obj = {"id": f"g{line_no:05d}", **obj}
+        check_row(obj, {"question": (str,), "answer": (str,), "id": (str,)}, path, line_no)
         question = obj["question"]
         solution = obj["answer"]
-        item_id = str(obj.get("id", f"g{line_no:05d}"))
+        item_id = obj["id"]
         if item_id in seen:
             raise FormatError(f"repeated item id {item_id!r} in {path}", line_no)
         seen.add(item_id)
@@ -280,8 +281,10 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
         for key in ("task", "functions", "calls"):
             if not isinstance(obj, dict) or key not in obj:
                 raise FormatError(f"missing {key} field in {path}", line_no)
-        check_row(obj, {"task": (str,), "functions": (list,), "calls": (list,)}, path, line_no)
-        item_id = str(obj.get("id", f"tool-{line_no:05d}"))
+        obj = {"id": f"tool-{line_no:05d}", **obj}
+        check_row(obj, {"task": (str,), "functions": (list,), "calls": (list,), "id": (str,)},
+                  path, line_no)
+        item_id = obj["id"]
         if item_id in seen:
             raise FormatError(f"repeated item id {item_id!r} in {path}", line_no)
         seen.add(item_id)
@@ -299,13 +302,10 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
         for call in obj["calls"]:
             if not isinstance(call, dict) or not call.get("name"):
                 raise FormatError(f"call entry missing name in {path}", line_no)
-            call = {"params": {}, **call}
-            check_row(call, {"name": (str,), "params": (dict,)}, path, line_no)
-            if "success" in call:
-                ok = bool(call["success"])
-            else:
-                ok = not call.get("error")
-            if not ok:
+            call = {"params": {}, "success": not call.get("error"), **call}
+            check_row(call, {"name": (str,), "params": (dict,), "success": (bool,)},
+                      path, line_no)
+            if not call["success"]:
                 dropped_calls += 1
                 continue
             params = tuple((str(k), str(v)) for k, v in call["params"].items())

@@ -10,7 +10,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -252,24 +253,18 @@ def load_records(path: Path) -> list[EvalRecord]:
 
 
 @dataclass(frozen=True)
-class ModelRow:
-    model: str
-    p_exe: float | None = None
-    exe_acc: float | None = None
-    acc: float | None = None
-    reason: float | None = None
-    acc_plan: float | None = None
+class Section:
+    """One part of the reports. `report.md` prints `lines` under `## title`,
+    and nothing when there are none. `summary.json` holds `value` at `key`.
+    `files` maps each file the section writes besides to its contents: a
+    `.csv` file's rows, header first, or a `.json` file's value; None
+    removes the file."""
 
-
-@dataclass(frozen=True)
-class Summary:
-    task: str
-    model_rows: tuple[ModelRow, ...]
-    condition_means: Mapping[tuple[str, str], tuple[float, int]]
-    buckets: Mapping[tuple[str, str], BucketTable]
-    p_values: Mapping[str, float]
-    fit: FitResult | None
-    warnings: tuple[str, ...]
+    title: str
+    lines: Sequence[str]
+    key: str
+    value: object
+    files: Mapping[str, object] = field(default_factory=dict)
 
 
 def summarize(
@@ -277,12 +272,14 @@ def summarize(
     task: str,
     p_exe_by_model: Mapping[str, float] | None = None,
     seed: int = 0,
-) -> Summary:
-    """Aggregate per-item records into the tables the reports print.
+) -> tuple[Callable[[], Section], ...]:
+    """The report sections of per-item records, in report order: Models,
+    Conditions, Step buckets, Fit, Significance and Warnings. Each is the
+    call that builds it, so the sections render only when written.
 
     Each (solver, condition, planner) cell is one group, keyed (solver, label):
     the condition, plus `@<planner>` where the solver holds that condition
-    under several planners. `acc_plan` takes the planner that sorts first."""
+    under several planners. `acc_plus_plan` takes the planner that sorts first."""
     p_exe_by_model = dict(p_exe_by_model or {})
     edges = MATH_STEP_BUCKETS if task == "math" else TOOL_STEP_BUCKETS
     stepped = {r.item_id: r for r in records if r.step_count >= 1}  # the ceiling's items
@@ -296,36 +293,24 @@ def summarize(
         (solver, cond if pairs.count((solver, cond)) == 1 else f"{cond}@{planner}"): rs
         for (solver, cond, planner), rs in cells.items()
     }
-
-    condition_means = {
-        key: (sum(r.score for r in rs) / len(rs), len(rs)) for key, rs in groups.items()
+    means = {key: (sum(r.score for r in rs) / len(rs), len(rs)) for key, rs in groups.items()}
+    direct_acc = {
+        solver: mean for (solver, label), (mean, _) in means.items()
+        if label == Condition.DIRECT_COT.value
     }
-    buckets = {key: bucket_by_steps(rs, edges) for key, rs in groups.items()}
 
-    models = sorted({r.solver_model for r in records} | set(p_exe_by_model))
     rows = []
-    for model in models:
-        acc = condition_means.get((model, Condition.DIRECT_COT.value))
-        plan_mean = next(
-            (condition_means[key] for cond in (Condition.CROSS_MODEL_PLAN, Condition.PLAN_AUGMENTED)
+    for model in sorted({r.solver_model for r in records} | set(p_exe_by_model)):
+        acc = direct_acc.get(model)
+        acc_plan = next(
+            (means[key][0] for cond in (Condition.CROSS_MODEL_PLAN, Condition.PLAN_AUGMENTED)
              for key, rs in sorted(groups.items()) if key[0] == model and rs[0].condition is cond),
             None,
         )
         p_exe = p_exe_by_model.get(model)
         exe = exe_acc(p_exe, dist) if p_exe is not None and dist is not None else None
-        reason = (
-            reason_score(acc[0], exe) if acc is not None and exe not in (None, 0) else None
-        )
-        rows.append(
-            ModelRow(
-                model=model,
-                p_exe=p_exe,
-                exe_acc=exe,
-                acc=acc[0] if acc else None,
-                reason=reason,
-                acc_plan=plan_mean[0] if plan_mean else None,
-            )
-        )
+        reason = reason_score(acc, exe) if acc is not None and exe not in (None, 0) else None
+        rows.append((model, p_exe, exe, acc, reason, acc_plan))
 
     p_values: dict[str, float] = {}
     for (model, label), guided in groups.items():
@@ -339,7 +324,6 @@ def summarize(
         b = [r for r in guided if r.item_id in common]
         p_values[f"{label}_vs_direct/{model}"] = paired_significance(a, b, seed=seed)
 
-    direct_acc = {row.model: row.acc for row in rows if row.acc is not None}
     warnings = []
     for (solver, _), rs in groups.items():
         planner = rs[0].planner_model
@@ -352,75 +336,104 @@ def summarize(
 
     fit = None
     fit_points = [
-        (row.exe_acc, row.acc_plan)
-        for row in rows
-        if row.exe_acc and row.acc_plan and row.exe_acc > 0 and row.acc_plan > 0
+        (exe, plan) for _, _, exe, _, _, plan in rows if exe and plan and exe > 0 and plan > 0
     ]
     if len(fit_points) >= 3 and len({x for x, _ in fit_points}) > 1:
         fit = fit_power_and_linear(fit_points)
 
-    return Summary(
-        task=task,
-        model_rows=tuple(rows),
-        condition_means=condition_means,
-        buckets=buckets,
-        p_values=p_values,
-        fit=fit,
-        warnings=tuple(warnings),
+    return (
+        partial(models_section, rows),
+        partial(conditions_section, means),
+        partial(buckets_section, {key: bucket_by_steps(rs, edges) for key, rs in groups.items()}),
+        partial(fit_section, fit),
+        partial(significance_section, p_values),
+        partial(warnings_section, warnings),
     )
 
 
 @dataclass(frozen=True)
 class Table:
-    """One report section as raw data: a title, its columns (each name with
-    the function that prints the column's values in Markdown) and rows of raw
-    values. Markdown ends a `std` table of two or more rows with a Std. row."""
+    """A section's rows of raw values and its columns, each name with the
+    function that prints the column's values in Markdown. Markdown ends a
+    `std` table of two or more rows with a Std. row."""
 
-    title: str
     columns: Mapping[str, Callable[[object], str]]
     rows: Sequence[tuple]
     std: bool = False
 
 
 OUT_OF_RANGE = "out-of-range"
+_CELL = {"model": str, "condition": str}
 
 
 def _pct(value: float) -> str:
     return f"{value * 100:.1f}"
 
 
-def report_tables(summary: Summary) -> tuple[Table, Table, Table, Table]:
-    """The Models, Conditions, Step buckets and Significance tables of
-    `summary`. A Models row is a `ModelRow`'s fields in order. A step-bucket
-    group with items outside every bucket ends in an out-of-range row that
-    has no mean."""
-    cell = {"model": str, "condition": str}
+def models_section(rows: Sequence[tuple]) -> Section:
+    """Rows of (model, p_exe, exe_acc, acc, reason_score, acc_plus_plan), None
+    for a missing value; the Markdown table ends with a Std. row."""
     ratios = dict.fromkeys(("p_exe", "exe_acc", "acc", "reason_score", "acc_plus_plan"), _pct)
-    buckets = [
+    table = Table({"model": str} | ratios, rows, std=True)
+    return Section("Models", _markdown(table) if rows else (), "models", _keyed(table, 1))
+
+
+def conditions_section(means: Mapping[tuple[str, str], tuple[float, int]]) -> Section:
+    """The mean score and item count of each (solver, label) cell."""
+    table = Table(_CELL | {"mean": _pct, "items": str},
+                  [(*key, mean, n) for key, (mean, n) in sorted(means.items())])
+    return Section("Conditions", _markdown(table), "conditions", _keyed(table, 2))
+
+
+def buckets_section(tables: Mapping[tuple[str, str], BucketTable]) -> Section:
+    """The step buckets of each (solver, label) cell. A cell with items
+    outside every bucket ends in an out-of-range row that has no mean and
+    that buckets.csv leaves out."""
+    rows = [
         row
-        for key, t in sorted(summary.buckets.items())
+        for key, t in sorted(tables.items())
         for row in [(*key, b.label, b.mean, b.count) for b in t.buckets]
         + [(*key, OUT_OF_RANGE, None, t.unbucketed_count)] * bool(t.unbucketed_count)
     ]
-    return (
-        Table("Models", {"model": str} | ratios, list(map(astuple, summary.model_rows)), std=True),
-        Table(
-            "Conditions",
-            cell | {"mean": _pct, "items": str},
-            [(*key, mean, n) for key, (mean, n) in sorted(summary.condition_means.items())],
-        ),
-        Table("Step buckets", cell | {"bucket": str, "mean": _pct, "count": str}, buckets),
-        Table("Significance", {"comparison": str, "p": "{:.4g}".format},
-              sorted(summary.p_values.items())),
+    table = Table(_CELL | {"bucket": str, "mean": _pct, "count": str}, rows)
+    value = {
+        "/".join(key): {"buckets": list(map(vars, t.buckets)), "out_of_range": t.unbucketed_count}
+        for key, t in tables.items()
+    }
+    csv_rows = [("solver_model", *list(table.columns)[1:]),
+                *(row for row in rows if row[2] != OUT_OF_RANGE)]
+    return Section("Step buckets", _markdown(table), "buckets", value, {"buckets.csv": csv_rows})
+
+
+def fit_section(fit: FitResult | None) -> Section:
+    """The power and linear fits of acc_plus_plan on exe_acc. Without a fit
+    the section prints nothing and removes fit.json."""
+    if fit is None:
+        return Section("Fit", (), "fit", None, {"fit.json": None})
+    lines = (
+        f"- power: y = {fit.c:.6g} * x^{fit.a:.6g} (sse {fit.sse_power:.6g}, r2 {fit.r2_power:.4f})",
+        f"- linear: y = {fit.b0:.6g} + {fit.b1:.6g} * x (sse {fit.sse_linear:.6g}, r2 {fit.r2_linear:.4f})",
+        f"- power fit closer: {str(fit.sse_power < fit.sse_linear).lower()}",
     )
+    return Section("Fit", lines, "fit", fit.to_dict(), {"fit.json": fit.to_dict()})
+
+
+def significance_section(p_values: Mapping[str, float]) -> Section:
+    """The p-value of each named comparison."""
+    table = Table({"comparison": str, "p": "{:.4g}".format}, sorted(p_values.items()))
+    return Section("Significance", _markdown(table) if p_values else (), "p_values",
+                   _keyed(table, 1))
+
+
+def warnings_section(warnings: Sequence[str]) -> Section:
+    return Section("Warnings", [f"- {w}" for w in warnings], "warnings", list(warnings))
 
 
 def _markdown(table: Table) -> list[str]:
-    """`table` as a Markdown section, – for a missing value and `\\|` for a
-    `|` in a cell. The Std. row holds each column's population standard
+    """`table` as Markdown lines, – for a missing value and `\\|` for a `|`
+    in a cell. The Std. row holds each column's population standard
     deviation in percent, – where the column has fewer than two values."""
-    header = f"| {' | '.join(table.columns)} |"
-    lines = [f"## {table.title}", "", header, "|---" * len(table.columns) + "|"]
+    lines = [f"| {' | '.join(table.columns)} |", "|---" * len(table.columns) + "|"]
     for row in table.rows:
         cells = (
             "–" if v is None else f(v).replace("|", "\\|")
@@ -431,7 +444,7 @@ def _markdown(table: Table) -> list[str]:
         columns = [[v for v in column if v is not None] for column in list(zip(*table.rows))[1:]]
         stds = (f"{float(np.std(vs)) * 100:.2f}" if len(vs) >= 2 else "–" for vs in columns)
         lines.append(f"| Std. | {' | '.join(stds)} |")
-    return lines + [""]
+    return lines
 
 
 def _keyed(table: Table, keys: int) -> dict:
@@ -455,62 +468,40 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 
 
 def emit_report(
-    records: Sequence[EvalRecord], summary: Summary, output_dir: str | Path
+    records: Sequence[EvalRecord], task: str, sections: Sequence[Callable[[], Section]],
+    output_dir: str | Path,
 ) -> list[Path]:
-    """Write report.md, report.csv, buckets.csv, summary.json, and fit.json
-    (when a fit was computed). Percentages print at one decimal."""
+    """Build each section, then write report.md (the lines of each section in
+    order), summary.json (`task` and each section's value at its key),
+    report.csv (one row per record) and each section's own files."""
     out = Path(output_dir)
-    models, conditions, buckets, significance = report_tables(summary)
+    built = [build() for build in sections]
     lines = ["# Evaluation report", ""]
-    if models.rows:
-        lines += _markdown(models)
-    lines += _markdown(conditions) + _markdown(buckets)
-    if summary.fit is not None:
-        f = summary.fit
-        lines += [
-            "## Fit",
-            "",
-            f"- power: y = {f.c:.6g} * x^{f.a:.6g} (sse {f.sse_power:.6g}, r2 {f.r2_power:.4f})",
-            f"- linear: y = {f.b0:.6g} + {f.b1:.6g} * x (sse {f.sse_linear:.6g}, r2 {f.r2_linear:.4f})",
-            f"- power fit closer: {str(f.sse_power < f.sse_linear).lower()}",
-            "",
-        ]
-    if significance.rows:
-        lines += _markdown(significance)
-    if summary.warnings:
-        lines += ["## Warnings", ""] + [f"- {w}" for w in summary.warnings] + [""]
+    for s in built:
+        if s.lines:
+            lines += [f"## {s.title}", "", *s.lines, ""]
     report_md = out / "report.md"
     with atomic_open(report_md) as fh:
         fh.write("\n".join(lines))
-
-    report_csv = _write_csv(
-        out / "report.csv",
-        ("item_id", "condition", "score", "step_count", "solver_model", "planner_model"),
-        ((r.item_id, r.condition.value, r.score, r.step_count, r.solver_model, r.planner_model)
-         for r in records),
-    )
-    buckets_csv = _write_csv(
-        out / "buckets.csv",
-        ["solver_model", *list(buckets.columns)[1:]],
-        (row for row in buckets.rows if row[2] != OUT_OF_RANGE),
-    )
-    payload = {
-        "task": summary.task,
-        "models": _keyed(models, 1),
-        "conditions": _keyed(conditions, 2),
-        "buckets": {
-            f"{model}/{cond}": {
-                "buckets": list(map(vars, t.buckets)), "out_of_range": t.unbucketed_count
-            }
-            for (model, cond), t in summary.buckets.items()
-        },
-        "p_values": _keyed(significance, 1),
-        "fit": summary.fit.to_dict() if summary.fit else None,
-        "warnings": list(summary.warnings),
-    }
-    written = [report_md, report_csv, buckets_csv, write_json(out / "summary.json", payload)]
-    if summary.fit is not None:
-        written.append(write_json(out / "fit.json", summary.fit.to_dict()))
+    written = [
+        report_md,
+        write_json(out / "summary.json", {"task": task} | {s.key: s.value for s in built}),
+        _write_csv(
+            out / "report.csv",
+            ("item_id", "condition", "score", "step_count", "solver_model", "planner_model"),
+            ((r.item_id, r.condition.value, r.score, r.step_count, r.solver_model,
+              r.planner_model) for r in records),
+        ),
+    ]
+    for s in built:
+        for name, contents in s.files.items():
+            path = out / name
+            if contents is None:
+                path.unlink(missing_ok=True)
+            elif path.suffix == ".csv":
+                written.append(_write_csv(path, contents[0], contents[1:]))
+            else:
+                written.append(write_json(path, contents))
     return written
 
 
@@ -676,11 +667,11 @@ def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
     return p_exe, digest
 
 
-def _emit(records: Sequence[EvalRecord], summary: Summary, probe_hash: str | None,
-          manifest: dict, config: RunConfig, out: Path) -> None:
-    """Write the reports of `summary`, then `manifest` with the seed the bootstrap
+def _emit(records: Sequence[EvalRecord], sections: Sequence[Callable[[], Section]],
+          probe_hash: str | None, manifest: dict, config: RunConfig, out: Path) -> None:
+    """Write the reports of `sections`, then `manifest` with the seed the bootstrap
     used and the sha256 of the probe summary and records the reports summarize."""
-    emit_report(records, summary, out)
+    emit_report(records, config.task, sections, out)
     inputs = {"probe_summary": probe_hash,
               "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
     write_json(out / "manifest.json", manifest | {"seed": config.seed, "inputs": inputs})
@@ -700,7 +691,7 @@ def _cmd_eval(args, task: str) -> int:
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
-    summary = summarize(run.records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    sections = summarize(run.records, config.task, p_exe_by_model=p_exe, seed=config.seed)
     save_records(run.records, out / "records.jsonl")
     failures_path = out / "failures.jsonl"
     if run.failures:
@@ -708,7 +699,7 @@ def _cmd_eval(args, task: str) -> int:
     else:
         failures_path.unlink(missing_ok=True)
     manifest = found | build_manifest(config, len(corpus))
-    _emit(run.records, summary, probe_hash, manifest, config, out)
+    _emit(run.records, sections, probe_hash, manifest, config, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK
 
@@ -808,8 +799,8 @@ def _cmd_report(args) -> int:
     records = load_records(records_path)
     p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
     found = _read_json_object(out / "manifest.json")[0]
-    summary = summarize(records, config.task, p_exe_by_model=p_exe, seed=config.seed)
-    _emit(records, summary, probe_hash, found, config, out)
+    sections = summarize(records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    _emit(records, sections, probe_hash, found, config, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK
 

@@ -1,23 +1,32 @@
-"""`emit_report` on a hand-built summary with every section present, against
+"""`emit_report` on every section, each built from hand-set values, against
 the exact bytes of all five files it writes."""
 
 from __future__ import annotations
 
-from planeval.runner import ModelRow, Summary, emit_report
+from functools import partial
+
+from planeval.runner import (
+    buckets_section,
+    conditions_section,
+    emit_report,
+    fit_section,
+    models_section,
+    significance_section,
+    warnings_section,
+)
 from planeval.scoring import BucketStat, BucketTable, Condition, EvalRecord, FitResult
 
-SUMMARY = Summary(
-    task="math",
-    model_rows=(
-        ModelRow(model="big", p_exe=0.9, exe_acc=0.729, acc=2 / 3, reason=(2 / 3) / 0.729, acc_plan=0.75),
-        ModelRow(model="small", p_exe=0.6, exe_acc=None, acc=1 / 3, reason=None, acc_plan=0.5),
-    ),
-    condition_means={
+SECTIONS = (
+    partial(models_section, [
+        ("big", 0.9, 0.729, 2 / 3, (2 / 3) / 0.729, 0.75),
+        ("small", 0.6, None, 1 / 3, None, 0.5),
+    ]),
+    partial(conditions_section, {
         ("small", "direct_cot"): (1 / 3, 3),
         ("big", "direct_cot"): (2 / 3, 3),
         ("small", "cross_model_plan@big"): (0.5, 2),
-    },
-    buckets={
+    }),
+    partial(buckets_section, {
         ("small", "cross_model_plan@big"): BucketTable(
             buckets=(BucketStat("2", 1.0, 1), BucketStat("3", None, 0), BucketStat(">=4", 0.0, 1)),
             unbucketed_count=1,
@@ -26,11 +35,14 @@ SUMMARY = Summary(
             buckets=(BucketStat("2", 2 / 3, 3), BucketStat("3", None, 0), BucketStat(">=4", None, 0)),
             unbucketed_count=0,
         ),
-    },
-    p_values={"plan_augmented_vs_direct/big": 1.0, "cross_model_plan@big_vs_direct/small": 0.123456789},
-    fit=FitResult(c=0.8, a=1.25, b0=0.1, b1=0.7, sse_power=0.0012345678, sse_linear=0.002,
-                  r2_power=0.98765, r2_linear=0.9),
-    warnings=("cross_model_plan: solver small direct accuracy is not below planner big",),
+    }),
+    partial(fit_section, FitResult(c=0.8, a=1.25, b0=0.1, b1=0.7, sse_power=0.0012345678,
+                                   sse_linear=0.002, r2_power=0.98765, r2_linear=0.9)),
+    partial(significance_section, {
+        "plan_augmented_vs_direct/big": 1.0, "cross_model_plan@big_vs_direct/small": 0.123456789,
+    }),
+    partial(warnings_section,
+            ["cross_model_plan: solver small direct accuracy is not below planner big"]),
 )
 RECORDS = [
     EvalRecord(item_id="i1", condition=Condition.DIRECT_COT, score=1.0, step_count=2, solver_model="big"),
@@ -219,7 +231,9 @@ GOLDEN = {
 
 
 def test_emit_report_writes_every_section_byte_for_byte(tmp_path):
-    written = emit_report(RECORDS, SUMMARY, tmp_path)
-    assert [p.name for p in written] == list(GOLDEN)
+    written = emit_report(RECORDS, "math", SECTIONS, tmp_path)
+    assert [p.name for p in written] == [
+        "report.md", "summary.json", "report.csv", "buckets.csv", "fit.json"
+    ]
     for name, text in GOLDEN.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name

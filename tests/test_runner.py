@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,14 @@ from planeval.runner import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
-    ModelRow,
     RunConfig,
-    Summary,
+    Section,
     build_manifest,
     cli_dispatch,
+    conditions_section,
     emit_report,
     load_records,
+    models_section,
     summarize,
 )
 from planeval.scoring import Condition, EvalRecord, exe_acc
@@ -230,6 +232,21 @@ def _readme_table(header: str) -> list[tuple[str, ...]]:
             break
         rows.append(tuple(cell.strip() for cell in line.strip("|").split("|"))[:3])
     return rows
+
+
+def _listed(names) -> str:
+    return f"{', '.join(names[:-1])} and {names[-1]}"
+
+
+def test_readme_names_the_report_sections_and_summary_keys_in_order():
+    sections = [build() for build in summarize([], "math")]
+    keys = [f"`{key}`" for key in ("task", *(s.key for s in sections))]
+    line = (
+        f"- **Sections**: `report.md` prints {_listed([s.title for s in sections])}, in this "
+        "order, each under a `##` heading and only when it has lines; `summary.json` has the "
+        f"top-level keys {_listed(keys)}, every one always present."
+    )
+    assert line in (REPO_CONFIGS.parent / "README.md").read_text(encoding="utf-8").splitlines()
 
 
 def test_readme_key_tables_state_exactly_the_config_and_model_formats():
@@ -767,6 +784,9 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         ("eval-tools", "corpus", _tool_line(function={"parameters": []})),
         ("eval-tools", "corpus", _tool_line(call={"name": 5})),
         ("eval-tools", "corpus", _tool_line(call={"params": [1]})),
+        ("eval-tools", "corpus", _tool_line(call={"success": "false"})),
+        ("eval-tools", "corpus", _tool_line(id=[1])),
+        ("eval-math", "corpus", json.dumps({"id": 5, "question": "q", "answer": "<<3+4=7>>\n#### 7"}) + "\n"),
     ],
     ids=[
         "mock-missing",
@@ -790,6 +810,9 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         "tools-function-parameters-not-object",
         "tools-call-name-not-str",
         "tools-call-params-not-object",
+        "tools-call-success-not-bool",
+        "tools-id-not-str",
+        "corpus-id-not-str",
     ],
 )
 def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
@@ -939,6 +962,18 @@ def test_cli_report_regenerates_identical_report(math_run):
     assert (tmp_path / "out" / "report.md").read_bytes() == report_before
 
 
+def test_report_removes_a_fit_json_that_fit_wrote_to_the_run_directory(math_run):
+    # One model gives no fit, so a run directory's fit.json belongs to the report.
+    _, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    points = REPO_CONFIGS / "fit_points_single_step_vs_plan.csv"
+    assert cli_dispatch(["fit", "--points", str(points), "--out", str(out)]) == EXIT_OK
+    assert (out / "fit.json").exists()
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+    assert not (out / "fit.json").exists()
+
+
 def test_cli_report_does_not_parse_the_corpus(math_run):
     problems, config, _, tmp_path = math_run
     probes = extract_probes(problems).probes
@@ -1056,14 +1091,19 @@ def test_item_whose_every_cell_failed_is_left_out_of_the_ceiling(tmp_path):
     assert read_json(out / "summary.json")["models"]["mock-model"]["exe_acc"] == p_exe**2
 
 
+def _values(sections) -> dict:
+    """Each built section's summary.json value by its key."""
+    return {s.key: s.value for s in (build() for build in sections)}
+
+
 def test_records_without_a_step_give_no_ceiling():
     records = [
         EvalRecord(item_id=f"i{k}", condition=Condition.DIRECT_COT, score=1.0,
                    step_count=0, solver_model="a")
         for k in range(3)
     ]
-    (row,) = summarize(records, "math", p_exe_by_model={"a": 0.9}).model_rows
-    assert row.p_exe == 0.9 and row.exe_acc is None and row.reason is None
+    (row,) = _values(summarize(records, "math", p_exe_by_model={"a": 0.9}))["models"].values()
+    assert row["p_exe"] == 0.9 and row["exe_acc"] is None and row["reason_score"] is None
 
 
 def test_manifest_names_the_probe_summary_the_report_read(math_run):
@@ -1447,20 +1487,11 @@ def test_python_dash_m_planeval_runs_the_cli_quietly():
 
 
 def test_report_prints_percent_rows_in_table_style(tmp_path):
-    rows = (
-        ModelRow(model="tiny", p_exe=0.861, exe_acc=0.595, acc=0.369, reason=0.369 / 0.595,
-                 acc_plan=0.440),
+    sections = (
+        partial(models_section, [("tiny", 0.861, 0.595, 0.369, 0.369 / 0.595, 0.440)]),
+        partial(conditions_section, {("tiny", "direct_cot"): (0.369, 100)}),
     )
-    summary = Summary(
-        task="math",
-        model_rows=rows,
-        condition_means={("tiny", "direct_cot"): (0.369, 100)},
-        buckets={},
-        p_values={},
-        fit=None,
-        warnings=(),
-    )
-    emit_report([], summary, tmp_path)
+    emit_report([], "math", sections, tmp_path)
     report = (tmp_path / "report.md").read_text()
     assert "| tiny | 86.1 | 59.5 | 36.9 | 62.0 | 44.0 |" in report
 
@@ -1471,20 +1502,9 @@ def test_report_empty_bucket_prints_dash_and_std_row(tmp_path):
                    step_count=2, solver_model="a")
         for k in range(3)
     ]
-    summary = summarize(records, "math")
-    summary = Summary(
-        task="math",
-        model_rows=(
-            ModelRow(model="a", p_exe=0.9, exe_acc=0.8, acc=1.0, reason=1.25, acc_plan=None),
-            ModelRow(model="b", p_exe=0.7, exe_acc=0.5, acc=0.5, reason=1.0, acc_plan=None),
-        ),
-        condition_means=summary.condition_means,
-        buckets=summary.buckets,
-        p_values={},
-        fit=None,
-        warnings=(),
-    )
-    emit_report(records, summary, tmp_path)
+    models = partial(models_section,
+                     [("a", 0.9, 0.8, 1.0, 1.25, None), ("b", 0.7, 0.5, 0.5, 1.0, None)])
+    emit_report(records, "math", (models, *summarize(records, "math")[1:]), tmp_path)
     report = (tmp_path / "report.md").read_text()
     assert "| a | direct_cot | 3 | – | 0 |" in report
     assert "| Std. |" in report
@@ -1497,7 +1517,7 @@ def test_report_empty_bucket_prints_dash_and_std_row(tmp_path):
 def test_report_md_escapes_a_pipe_in_a_cell_and_json_and_csv_keep_the_name(tmp_path):
     records = [EvalRecord(item_id="i0", condition=Condition.DIRECT_COT, score=1.0,
                           step_count=2, solver_model="gpt|4")]
-    emit_report(records, summarize(records, "math"), tmp_path)
+    emit_report(records, "math", summarize(records, "math"), tmp_path)
     report = (tmp_path / "report.md").read_text()
     assert "| gpt\\|4 | direct_cot | 100.0 | 1 |" in report
     for section in report.split("## ")[1:]:
@@ -1506,6 +1526,18 @@ def test_report_md_escapes_a_pipe_in_a_cell_and_json_and_csv_keep_the_name(tmp_p
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert list(summary["conditions"]) == ["gpt|4/direct_cot"]
     assert "i0,direct_cot,1.0,2,gpt|4," in (tmp_path / "report.csv").read_text()
+
+
+def test_a_section_made_outside_the_runner_reaches_every_report_file(tmp_path):
+    records = [EvalRecord(item_id="i0", condition=Condition.DIRECT_COT, score=1.0,
+                          step_count=2, solver_model="a")]
+    extra = partial(Section, "Extra", ["- one line"], "extra", {"n": 1},
+                    {"extra.csv": [("name", "value"), ("a", None)]})
+    written = emit_report(records, "math", (*summarize(records, "math"), extra), tmp_path)
+    assert (tmp_path / "report.md").read_text().endswith("\n## Extra\n\n- one line\n")
+    assert json.loads((tmp_path / "summary.json").read_text())["extra"] == {"n": 1}
+    assert (tmp_path / "extra.csv").read_bytes() == b"name,value\r\na,\r\n"
+    assert tmp_path / "extra.csv" in written
 
 
 def test_summarize_warns_when_solver_not_weaker(tmp_path):
@@ -1521,8 +1553,7 @@ def test_summarize_warns_when_solver_not_weaker(tmp_path):
                    step_count=2, solver_model="strong", planner_model="planner")
         for k in range(3)
     )
-    summary = summarize(records, "math")
-    assert any("not below planner" in w for w in summary.warnings)
+    assert any("not below planner" in w for w in _values(summarize(records, "math"))["warnings"])
 
 
 def test_summarize_skips_fit_when_all_models_share_one_execution_ceiling(tmp_path):
@@ -1535,10 +1566,11 @@ def test_summarize_skips_fit_when_all_models_share_one_execution_ceiling(tmp_pat
         for cond in (Condition.DIRECT_COT, plan)
         for k in range(4)
     ]
-    summary = summarize(records, "math", p_exe_by_model=dict.fromkeys(models, 0.9))
-    assert summary.fit is None
-    assert len({row.exe_acc for row in summary.model_rows}) == 1
-    emit_report(records, summary, tmp_path)
+    sections = summarize(records, "math", p_exe_by_model=dict.fromkeys(models, 0.9))
+    values = _values(sections)
+    assert values["fit"] is None
+    assert len({row["exe_acc"] for row in values["models"].values()}) == 1
+    emit_report(records, "math", sections, tmp_path)
     assert "## Fit" not in (tmp_path / "report.md").read_text()
     assert not (tmp_path / "fit.json").exists()
 
