@@ -3,6 +3,7 @@ multi-call tool tasks, with the cleaning rules applied at load time."""
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -308,7 +309,8 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
             if not call["success"]:
                 dropped_calls += 1
                 continue
-            params = tuple((str(k), str(v)) for k, v in call["params"].items())
+            params = tuple((k, v if isinstance(v, str) else json.dumps(v, ensure_ascii=False))
+                           for k, v in call["params"].items())
             gold.append(ToolCall(name=call["name"], params=params))
 
         distinct = {c.name for c in gold}

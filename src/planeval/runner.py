@@ -508,34 +508,6 @@ def emit_report(
 # --- CLI --------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="planeval")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="run configuration file (JSON)")
-    common.add_argument("--mock", type=Path, help="offline mock transcript (JSON Lines)")
-    common.add_argument("--out", type=Path, help="output directory override")
-
-    sub.add_parser("validate", parents=[common])
-    p = sub.add_parser("probe", parents=[common])
-    p.add_argument("--limit", type=int, help="probe only the first N expressions")
-    sub.add_parser("eval-math", parents=[common])
-    sub.add_parser("eval-tools", parents=[common])
-    sub.add_parser("plan", parents=[common])
-    p = sub.add_parser("fit", parents=[common])
-    p.add_argument("--points", type=Path, required=True, help="CSV of x,y points")
-    sub.add_parser("build-sft", parents=[common])
-    sub.add_parser("report", parents=[common])
-    return parser
-
-
-def _require_config(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
-    return RunConfig.load(args.config)
-
-
 def _gateway(config: RunConfig, args) -> Gateway:
     if args.mock:
         try:
@@ -561,45 +533,10 @@ def _gateway(config: RunConfig, args) -> Gateway:
     )
 
 
-def _out_dir(config: RunConfig, args) -> Path:
-    return Path(args.out) if args.out else config.output_dir
-
-
-def cli_dispatch(argv: Sequence[str]) -> int:
-    """Parse argv and run one subcommand. Exit codes: 0 success, 1 graded
-    with failures, 2 configuration, usage or input-file error."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        handler = {
-            "validate": _cmd_validate,
-            "probe": _cmd_probe,
-            "eval-math": lambda a: _cmd_eval(a, "math"),
-            "eval-tools": lambda a: _cmd_eval(a, "tools"),
-            "plan": _cmd_plan,
-            "fit": _cmd_fit,
-            "build-sft": _cmd_build_sft,
-            "report": _cmd_report,
-        }[args.command]
-        return handler(args)
-    except (ConfigError, FormatError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return cli_dispatch(sys.argv[1:] if argv is None else argv)
-
-
-def _cmd_validate(args) -> int:
-    config = _require_config(args)
-    matrix = config.resolved_matrix()
+def _cmd_validate(config: RunConfig) -> int:
     print(f"config ok: task={config.task} models={len(config.models)} "
           f"conditions={list(config.conditions)}")
-    for cond, solver, planner in matrix:
+    for cond, solver, planner in config.resolved_matrix():
         planner_part = f" planner={planner}" if planner else ""
         print(f"  {cond}: solver={solver}{planner_part}")
     return EXIT_OK
@@ -618,20 +555,15 @@ def _probes_path(out: Path, model_name: str) -> Path:
     return out / f"probes_{model_name.replace('%', '%25').replace('/', '%2F')}.jsonl"
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     if args.limit is not None and args.limit < 1:
         raise ConfigError("--limit must be >= 1")
-    config = _require_config(args)
-    if config.task != "math":
-        raise ConfigError("probe requires a math corpus")
-    out = _out_dir(config, args)
     problems = load_gsm8k(config.corpus)
     extraction = extract_probes(problems)
     probes = extraction.probes[: args.limit]
     if not probes:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
-    found = _read_json_object(out / "manifest.json")[0]
     runs = {model.name: measure_p_exe(gateway, model, probes) for model in config.models}
     made = build_manifest(config, len(problems))
     per_model = {
@@ -648,10 +580,9 @@ def _cmd_probe(args) -> int:
     for name, run in runs.items():
         save_probe_results(run.results, _probes_path(out, name))
     write_json(out / "probe_summary.json", payload)
-    write_json(out / "manifest.json", found | made)
     for name, row in sorted(per_model.items()):
         print(f"{name}: p_exe={row['p_exe']} graded={row['graded']} ungraded={row['ungraded']}")
-    return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK
+    return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK, made
 
 
 def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
@@ -668,26 +599,22 @@ def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
 
 
 def _emit(records: Sequence[EvalRecord], sections: Sequence[Callable[[], Section]],
-          probe_hash: str | None, manifest: dict, config: RunConfig, out: Path) -> None:
-    """Write the reports of `sections`, then `manifest` with the seed the bootstrap
-    used and the sha256 of the probe summary and records the reports summarize."""
+          probe_hash: str | None, config: RunConfig, out: Path) -> dict:
+    """Write the reports of `sections`; return the manifest fields they make: the
+    seed the bootstrap used and the sha256 of the probe summary and records the
+    reports summarize."""
     emit_report(records, config.task, sections, out)
     inputs = {"probe_summary": probe_hash,
               "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
-    write_json(out / "manifest.json", manifest | {"seed": config.seed, "inputs": inputs})
+    return {"seed": config.seed, "inputs": inputs}
 
 
-def _cmd_eval(args, task: str) -> int:
-    """Run and summarize the condition matrix, then write the records, failures,
-    reports and manifest. Rerunning is resuming: every answered request replays
-    from the cache, so only the unanswered ones reach the transport."""
-    config = _require_config(args)
-    if config.task != task:
-        raise ConfigError(f"config task is {config.task!r}, expected {task!r}")
-    out = _out_dir(config, args)
+def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
+    """Run and summarize the condition matrix, then write the records, failures
+    and reports. Rerunning is resuming: every answered request replays from
+    the cache, so only the unanswered ones reach the transport."""
     corpus = _load_corpus(config)
     p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
-    found = _read_json_object(out / "manifest.json")[0]
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
@@ -698,10 +625,10 @@ def _cmd_eval(args, task: str) -> int:
         write_jsonl(failures_path, map(vars, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
-    manifest = found | build_manifest(config, len(corpus))
-    _emit(run.records, sections, probe_hash, manifest, config, out)
+    made = build_manifest(config, len(corpus))
+    made |= _emit(run.records, sections, probe_hash, config, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
-    return EXIT_PARTIAL if run.failures else EXIT_OK
+    return EXIT_PARTIAL if run.failures else EXIT_OK, made
 
 
 def _report_plan_failures(results: Mapping) -> int:
@@ -714,17 +641,12 @@ def _report_plan_failures(results: Mapping) -> int:
     return failed
 
 
-def _cmd_plan(args) -> int:
-    config = _require_config(args)
-    out = _out_dir(config, args)
+def _cmd_plan(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     corpus = _load_corpus(config)
-    planners = config.planner_specs or config.models
-    gateway = _gateway(config, args)
-    found = _read_json_object(out / "manifest.json")[0]
-    results = generate_plans(gateway, planners, corpus)
+    results = generate_plans(_gateway(config, args), config.planner_specs or config.models, corpus)
     write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
-    write_json(out / "manifest.json", found | build_manifest(config, len(corpus)))
-    return EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
+    code = EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
+    return code, build_manifest(config, len(corpus))
 
 
 def _cmd_fit(args) -> int:
@@ -753,23 +675,18 @@ def _cmd_fit(args) -> int:
     if len(points) < 3:
         raise ConfigError(f"{path}: need at least 3 points, got {len(points)}")
     try:
-        fit = fit_power_and_linear(points)
+        section = fit_section(fit_power_and_linear(points))
     except DegenerateInput as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    print(f"power:  y = {fit.c:.6g} * x^{fit.a:.6g}   sse={fit.sse_power:.6g} r2={fit.r2_power:.4f}")
-    print(f"linear: y = {fit.b0:.6g} + {fit.b1:.6g}x   sse={fit.sse_linear:.6g} r2={fit.r2_linear:.4f}")
-    print(f"power fit closer: {str(fit.sse_power < fit.sse_linear).lower()}")
+    print(*section.lines, sep="\n")
     if args.out:
-        write_json(Path(args.out) / "fit.json", fit.to_dict())
+        write_json(args.out / "fit.json", section.value)
     return EXIT_OK
 
 
-def _cmd_build_sft(args) -> int:
-    config = _require_config(args)
-    out = _out_dir(config, args)
+def _cmd_build_sft(config: RunConfig, out: Path, args) -> tuple[int, dict | None]:
     corpus = _load_corpus(config)
     teacher = config.teacher_model
-    found = _read_json_object(out / "manifest.json")[0]
     plans = {}
     if config.sft_mode in ("all", "plan_only"):
         if teacher is None:
@@ -777,7 +694,7 @@ def _cmd_build_sft(args) -> int:
         spec = next(m for m in config.models if m.name == teacher)
         results = generate_plans(_gateway(config, args), [spec], corpus)
         if _report_plan_failures(results):
-            return EXIT_PARTIAL
+            return EXIT_PARTIAL, None
         plans = {item_id: plan for (_, item_id), plan in results.items()}
     try:
         corpus_path, meta_path = sftgen.write_sft_outputs(
@@ -785,24 +702,90 @@ def _cmd_build_sft(args) -> int:
         )
     except sftgen.AnswerLeak as exc:
         raise ConfigError(str(exc)) from exc
-    write_json(out / "manifest.json", found | build_manifest(config, len(corpus)))
     print(f"wrote {corpus_path} and {meta_path}")
-    return EXIT_OK
+    return EXIT_OK, build_manifest(config, len(corpus))
 
 
-def _cmd_report(args) -> int:
-    config = _require_config(args)
-    out = _out_dir(config, args)
+def _cmd_report(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     records_path = out / "records.jsonl"
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
     p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
-    found = _read_json_object(out / "manifest.json")[0]
     sections = summarize(records, config.task, p_exe_by_model=p_exe, seed=config.seed)
-    _emit(records, sections, probe_hash, found, config, out)
+    made = _emit(records, sections, probe_hash, config, out)
     print(f"report for {len(records)} records -> {out}")
-    return EXIT_OK
+    return EXIT_OK, made
+
+
+# The argparse options of each flag.
+_FLAGS = {
+    "--config": {"type": Path, "help": "run configuration file (JSON)"},
+    "--mock": {"type": Path, "help": "offline mock transcript (JSON Lines)"},
+    "--out": {"type": Path, "help": "output directory override"},
+    "--limit": {"type": int, "help": "probe only the first N expressions"},
+    "--points": {"type": Path, "required": True, "help": "CSV of x,y points"},
+}
+_RUN = ("--config", "--mock", "--out")
+# Each command: its handler, exactly the flags it reads, and the task its
+# config must have (None for either). A handler without --config is called
+# with the parsed flags, one with only --config with the loaded config, and
+# a run-directory command (--config and --out) as `cli_dispatch` says.
+_COMMANDS: dict[str, tuple[Callable, tuple[str, ...], str | None]] = {
+    "validate": (_cmd_validate, ("--config",), None),
+    "probe": (_cmd_probe, (*_RUN, "--limit"), "math"),
+    "eval-math": (_cmd_eval, _RUN, "math"),
+    "eval-tools": (_cmd_eval, _RUN, "tools"),
+    "plan": (_cmd_plan, _RUN, None),
+    "fit": (_cmd_fit, ("--points", "--out"), None),
+    "build-sft": (_cmd_build_sft, _RUN, None),
+    "report": (_cmd_report, ("--config", "--out"), None),
+}
+
+
+def cli_dispatch(argv: Sequence[str]) -> int:
+    """Parse argv and run one command of `_COMMANDS`. Exit codes: 0 success,
+    1 graded with failures, 2 configuration, usage or input-file error.
+
+    A run-directory command loads the config, checks its task and reads the
+    manifest found in the output directory before its handler runs. The
+    handler does its work, writes its outputs and returns its exit code and
+    the manifest fields it made, or None to leave the manifest as found. Only
+    then is the found manifest written, updated with those fields."""
+    parser = argparse.ArgumentParser(prog="planeval")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        return EXIT_CONFIG if exc.code not in (0, None) else 0
+    handler, flags, task = _COMMANDS[args.command]
+    try:
+        if "--config" not in flags:
+            return handler(args)
+        if not args.config:
+            raise ConfigError("--config is required for this command")
+        config = RunConfig.load(args.config)
+        if task not in (None, config.task):
+            raise ConfigError(f"{args.command} requires a {task} corpus")
+        if "--out" not in flags:
+            return handler(config)
+        out = args.out or config.output_dir
+        found = _read_json_object(out / "manifest.json")[0]
+        code, made = handler(config, out, args)
+        if made is not None:
+            write_json(out / "manifest.json", found | made)
+        return code
+    except (ConfigError, FormatError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return cli_dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

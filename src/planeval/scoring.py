@@ -213,6 +213,13 @@ def _param_string(call: ToolCall) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(call.params))
 
 
+def _param_similarity(p: ToolCall, g: ToolCall) -> float:
+    """ROUGE-L of the two parameter strings, and 1 where they are identical:
+    two calls without parameters match fully, though `rouge_l("", "")` is 0."""
+    a, b = _param_string(p), _param_string(g)
+    return 1.0 if a == b else rouge_l(a, b)
+
+
 def _call_repr(call: ToolCall) -> str:
     return f"{call.name}({_param_string(call)})"
 
@@ -239,7 +246,7 @@ def tool_sequence_score(
 
     if literal:
         total = sum(
-            rouge_l(_param_string(p), _param_string(g))
+            _param_similarity(p, g)
             for p in pred
             for g in gold
             if p.name == g.name
@@ -251,7 +258,7 @@ def tool_sequence_score(
         for i, p in enumerate(pred):
             for j, g in enumerate(gold):
                 if p.name == g.name:
-                    sim = rouge_l(_param_string(p), _param_string(g))
+                    sim = _param_similarity(p, g)
                     candidates.append((-sim, _call_repr(p), _call_repr(g), i, j))
         candidates.sort(key=lambda t: t[:3])
         taken_pred: set[int] = set()

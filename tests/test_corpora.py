@@ -20,6 +20,8 @@ from planeval.corpora import (
     load_toolbench,
     step_distribution,
 )
+from planeval.planflow import parse_tool_response
+from planeval.scoring import tool_sequence_score
 
 
 def _write(path, objs):
@@ -276,6 +278,35 @@ def test_toolbench_drops_failed_calls_keeps_task(tmp_path):
     assert [c.name for c in task.gold_calls] == ["A", "C"]
     assert result.dropped_calls == 1
     assert result.dropped_tasks == 0
+
+
+def test_toolbench_null_parameter_scores_an_exact_answer_fully(tmp_path):
+    lines = [{
+        "task": "fly",
+        "functions": [{"name": "search_flights"}, {"name": "book"}],
+        "calls": [
+            {"name": "search_flights", "params": {"origin": "city0", "x": None}, "success": True},
+            {"name": "book", "params": {"id": "F1"}, "success": True},
+        ],
+    }]
+    (task,) = load_toolbench(write_tool_file(tmp_path / "t.jsonl", lines)).tasks
+    answer = "step1: [func]search_flights(origin=city0, x=null)[/func]\nstep2: [func]book(id=F1)[/func]"
+    pred, skipped = parse_tool_response(answer)
+    assert skipped == 0
+    assert tool_sequence_score(pred, task.gold_calls).f1 == 1.0
+
+
+def test_toolbench_renders_non_string_parameters_as_json(tmp_path):
+    params = {"s": "True", "b": True, "n": None, "i": 3, "f": 1.5, "l": ["é", 1], "o": {"k": "v"}}
+    lines = [{
+        "task": "t",
+        "functions": [{"name": "A"}, {"name": "B"}],
+        "calls": [{"name": "A", "params": params, "success": True}, {"name": "B"}],
+    }]
+    (task,) = load_toolbench(write_tool_file(tmp_path / "t.jsonl", lines)).tasks
+    assert dict(task.gold_calls[0].params) == {
+        "s": "True", "b": "true", "n": "null", "i": "3", "f": "1.5", "l": '["é", 1]', "o": '{"k": "v"}'
+    }
 
 
 def test_toolbench_drops_single_api_tasks(tmp_path):

@@ -86,7 +86,9 @@ def test_command_sequence_outputs_are_pinned(tmp_path, capsys):
     config.write_text(json.dumps(CONFIG, indent=2))
     made: set[str] = set()
     for command, code, stdout, stderr, manifest, adds in STEPS:
-        argv = [command, "--config", str(config), "--mock", str(transcript)]
+        argv = [command, "--config", str(config)]
+        if command != "report":
+            argv += ["--mock", str(transcript)]
         assert cli_dispatch(argv) == code, command
         captured = capsys.readouterr()
         assert (captured.out.replace(str(tmp_path), "<tmp>"),

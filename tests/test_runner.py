@@ -266,6 +266,15 @@ def test_readme_key_tables_state_exactly_the_config_and_model_formats():
     assert _readme_table("| model key | JSON type | default | meaning |") == model_rows
 
 
+def test_readme_cli_block_lists_every_command_with_exactly_its_flags():
+    readme = (REPO_CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = [(line.split()[1], re.findall(r"--[a-z]+", line)) for line in block.splitlines()]
+    assert listed == [
+        (name, list(flags)) for name, (_, flags, _) in runner_module._COMMANDS.items()
+    ]
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", 1.7), ("seed", True), ("seed", "3"), ("concurrency", 2.9), ("concurrency", True),
     ("planners", "mock-model"), ("conditions", "direct_cot"), ("models", {"name": "mock-model"}),
@@ -538,6 +547,35 @@ def test_cli_eval_rejects_task_mismatch(math_run):
     assert cli_dispatch(["eval-tools", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, task, other", [
+    ("probe", "math", "tools"), ("eval-math", "math", "tools"), ("eval-tools", "tools", "math"),
+])
+def test_a_command_on_a_config_of_the_other_task_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, task, other
+):
+    corpus = tmp_path / "corpus.jsonl"
+    if other == "math":
+        entries = math_transcript_entries(build_math_corpus(corpus, count=3))
+    else:
+        entries = tool_transcript_entries(build_tool_corpus(corpus, count=3))
+    transcript = write_transcript(tmp_path / "transcript.jsonl", entries)
+    config = write_config(tmp_path, corpus, task=other)
+    made = []
+
+    class CountingMockTransport(runner_module.MockTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner_module, "MockTransport", CountingMockTransport)
+    before = _files(tmp_path)
+    assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {command} requires a {task} corpus\n")
+    assert made == []
+    assert _files(tmp_path) == before
+
+
 def test_cli_plan_writes_plans_file(math_run):
     _, config, transcript, tmp_path = math_run
     assert cli_dispatch(["plan", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
@@ -570,6 +608,18 @@ def test_cli_fit_on_single_step_points(tmp_path, capsys):
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["sse_power"] < fit["sse_linear"]
     assert fit["power"]["a"] == pytest.approx(4.071793498835476, abs=1e-9)
+
+
+def test_cli_fit_prints_the_fit_section_and_writes_its_value(tmp_path, capsys):
+    points = REPO_CONFIGS / "fit_points_single_step_vs_plan.csv"
+    assert cli_dispatch(["fit", "--points", str(points), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "- power: y = 0.916298 * x^4.07179 (sse 0.0104966, r2 0.9417)\n"
+        "- linear: y = -2.02761 + 2.92937 * x (sse 0.0108637, r2 0.9396)\n"
+        "- power fit closer: true\n"
+    )
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert set(fit) == {"power", "linear", "sse_power", "sse_linear", "r2_power", "r2_linear"}
 
 
 def test_cli_fit_rejects_too_few_points(tmp_path):
@@ -1034,6 +1084,22 @@ def test_cli_removed_flags_exit_2_without_output(math_run, command, flag, value)
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--mock"), ("validate", "--out"), ("fit", "--config"), ("fit", "--mock"),
+    ("report", "--mock"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(math_run, capsys, command, flag):
+    _, config, _, tmp_path = math_run
+    points = REPO_CONFIGS / "fit_points_single_step_vs_plan.csv"
+    given = ["--points", str(points)] if command == "fit" else ["--config", str(config)]
+    unused = tmp_path / "unused"
+    assert cli_dispatch([command, *given, flag, str(unused)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag} {unused}\n" in captured.err
+    assert not unused.exists()
+
+
 
 # --- execution ceiling and its inputs -----------------------------------------
 
@@ -1362,7 +1428,8 @@ def test_every_command_writes_its_outputs_after_its_work_and_the_manifest_last(
     monkeypatch.setattr(runner_module, "summarize", logged_summarize)
     for command in ("probe", "eval-math", "report", "plan", "build-sft"):
         events.clear()
-        assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+        mock = [] if command == "report" else ["--mock", str(transcript)]
+        assert cli_dispatch([command, "--config", str(config), *mock]) == EXIT_OK
         work = [k for k, e in enumerate(events) if e.startswith("<")]
         writes = [k for k, e in enumerate(events) if not e.startswith("<")]
         assert work and writes and max(work) < min(writes), (command, events)

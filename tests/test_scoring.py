@@ -301,6 +301,14 @@ def test_tool_score_literal_mode_can_exceed_one():
     assert 0.0 <= bounded.acc <= 1.0
 
 
+@pytest.mark.parametrize("literal", [False, True])
+def test_tool_score_name_matched_calls_without_parameters_score_one(literal):
+    calls = [_call("A"), _call("B", x=1)]
+    score = tool_sequence_score(calls, calls, literal=literal)
+    assert (score.acc, score.recall, score.f1) == (1.0, 1.0, 1.0)
+    assert rouge_l("", "") == 0.0  # the convention stays; only call scoring treats "" == "" as a match
+
+
 def _random_calls(rng, max_len=5):
     names = ["A", "B", "C"]
     calls = []

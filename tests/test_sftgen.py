@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from helpers import MATH_PLAN_TEXT, TOOL_PLAN_TEXT, build_math_corpus, build_tool_corpus
+from helpers import (
+    MATH_PLAN_TEXT,
+    TOOL_PLAN_TEXT,
+    build_math_corpus,
+    build_tool_corpus,
+    make_tool_lines,
+    write_tool_file,
+)
+from planeval.corpora import load_toolbench
 from planeval.jsonio import FormatError
 from planeval.planflow import Plan, render_call_sequence, render_prompt
 from planeval.sftgen import (
@@ -91,6 +99,14 @@ def test_tool_targets_use_call_grammar(tmp_path):
         if r.kind == "answer_target":
             assert r.target == render_call_sequence(by_item[r.source_id].gold_calls)
             assert r.target.startswith("step1: [func]")
+
+
+def test_tool_answer_target_writes_non_string_parameters_as_json(tmp_path):
+    lines = make_tool_lines(1)
+    lines[0]["calls"][0]["params"]["nonstop"] = True
+    (task,) = load_toolbench(write_tool_file(tmp_path / "t.jsonl", lines)).tasks
+    (record,) = build_sft_corpus([task], {}, mode="answer_only")
+    assert "nonstop=true)" in record.target and "True" not in record.target
 
 
 def test_empty_gold_answer_rejected(math_corpus):
