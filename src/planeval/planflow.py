@@ -121,7 +121,9 @@ _TOOL_LINE_RE = re.compile(r"step(\d+):\s*\[func\]([A-Za-z_]\w*)\((.*)\)\[/func\
 def parse_tool_response(text: str) -> tuple[tuple[ToolCall, ...], int]:
     """Parse `step<k>: [func]name(k=v, ...)[/func]` lines from a response.
 
-    Lines that fail the grammar are skipped and counted, not guessed at.
+    After the first argument, a fragment with no `=` continues the previous
+    value, comma included. Lines that fail the grammar are skipped and
+    counted, not guessed at.
     """
     calls: list[ToolCall] = []
     skipped = 0
@@ -134,20 +136,21 @@ def parse_tool_response(text: str) -> tuple[tuple[ToolCall, ...], int]:
             skipped += 1
             continue
         name, arg_text = m.group(2), m.group(3).strip()
-        params: list[tuple[str, str]] = []
+        params: list[list[str]] = []
         ok = True
         if arg_text:
             for fragment in arg_text.split(","):
-                fragment = fragment.strip()
-                if "=" not in fragment:
+                if "=" in fragment:
+                    params.append(fragment.split("=", 1))
+                elif params:
+                    params[-1][1] += "," + fragment
+                else:
                     ok = False
                     break
-                key, value = fragment.split("=", 1)
-                params.append((key.strip(), value.strip()))
-        if not ok or len({k for k, _ in params}) != len(params):
+        if not ok or len({k.strip() for k, _ in params}) != len(params):
             skipped += 1
             continue
-        calls.append(ToolCall(name=name, params=tuple(params)))
+        calls.append(ToolCall(name=name, params=tuple((k.strip(), v.strip()) for k, v in params)))
     return tuple(calls), skipped
 
 
@@ -246,19 +249,30 @@ def render_prompt(stage: str, item: MathProblem | ToolTask, plan_text: str | Non
     return load_template(f"{kind}_{stage}").render(**bindings)
 
 
-def solve_direct(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> EvalRecord:
-    """One-round baseline: render the direct prompt, call once, grade."""
-    exchange = gateway.complete(model, [user_message(render_prompt("direct", item))])
-    score, flags = _grade(exchange.response.text, item)
+def _solve(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask,
+           condition: Condition, plan: Plan | None = None) -> EvalRecord:
+    """Call once with the direct prompt, or with the guided prompt around the
+    plan text, grade the answer and record it under `condition`."""
+    plan_text = None if plan is None else plan.text
+    prompt = render_prompt("direct" if plan is None else "guided", item, plan_text)
+    text = gateway.complete(model, [user_message(prompt)]).response.text
+    score, flags = _grade(text, item)
     return EvalRecord(
         item_id=item.id,
-        condition=Condition.DIRECT_COT,
+        condition=condition,
         score=score,
         step_count=item.step_count,
         solver_model=model.name,
-        response_text=exchange.response.text,
+        planner_model=None if plan is None else plan.generator_model,
+        response_text=text,
+        plan_text=plan_text,
         flags=flags,
     )
+
+
+def solve_direct(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> EvalRecord:
+    """One-round baseline: render the direct prompt, call once, grade."""
+    return _solve(gateway, model, item, Condition.DIRECT_COT)
 
 
 def generate_plan(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTask) -> Plan:
@@ -281,24 +295,9 @@ def solve_with_plan(
     byte-identically in the guided prompt."""
     if plan.item_id != item.id:
         raise ValueError(f"plan is for item {plan.item_id!r}, not {item.id!r}")
-    exchange = gateway.complete(model, [user_message(render_prompt("guided", item, plan.text))])
-    score, flags = _grade(exchange.response.text, item)
-    condition = (
-        Condition.PLAN_AUGMENTED
-        if plan.generator_model == model.name
-        else Condition.CROSS_MODEL_PLAN
-    )
-    return EvalRecord(
-        item_id=item.id,
-        condition=condition,
-        score=score,
-        step_count=item.step_count,
-        solver_model=model.name,
-        planner_model=plan.generator_model,
-        response_text=exchange.response.text,
-        plan_text=plan.text,
-        flags=flags,
-    )
+    own = plan.generator_model == model.name
+    condition = Condition.PLAN_AUGMENTED if own else Condition.CROSS_MODEL_PLAN
+    return _solve(gateway, model, item, condition, plan)
 
 
 def generate_plans(

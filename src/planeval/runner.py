@@ -11,7 +11,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -272,6 +272,7 @@ def summarize(
     task: str,
     p_exe_by_model: Mapping[str, float] | None = None,
     seed: int = 0,
+    warnings: Sequence[str] = (),
 ) -> tuple[Callable[[], Section], ...]:
     """The report sections of per-item records, in report order: Models,
     Conditions, Step buckets, Fit, Significance and Warnings. Each is the
@@ -324,7 +325,7 @@ def summarize(
         b = [r for r in guided if r.item_id in common]
         p_values[f"{label}_vs_direct/{model}"] = paired_significance(a, b, seed=seed)
 
-    warnings = []
+    warnings = list(warnings)
     for (solver, _), rs in groups.items():
         planner = rs[0].planner_model
         s, p = direct_acc.get(solver), direct_acc.get(planner)
@@ -585,8 +586,9 @@ def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK, made
 
 
-def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
-    """The p_exe per model in `probe`'s summary file and the file's sha256."""
+def _read_probe_summary(path: Path, graded_on: str | None) -> tuple[dict, str | None, list]:
+    """The p_exe per model in `probe`'s summary file, the file's sha256, and one
+    warning if the file names a corpus other than `graded_on`, a corpus hash."""
     data, digest = _read_json_object(path)
     rows = data.get("models", {})
     if not isinstance(rows, dict) or not all(isinstance(r, dict) for r in rows.values()):
@@ -595,7 +597,11 @@ def _read_probe_summary(path: Path) -> tuple[dict[str, float], str | None]:
     for name, p in p_exe.items():
         if type(p) not in (int, float) or not 0 <= p <= 1:
             raise ConfigError(f"{path}: p_exe of {name!r} is {p!r}, not a number in [0, 1]")
-    return p_exe, digest
+    probed = data.get("corpus_hash")
+    if probed in (None, graded_on) or graded_on is None:
+        return p_exe, digest, []
+    return p_exe, digest, [f"{path.name} is from corpus {probed}, not the graded corpus "
+                           f"{graded_on}; p_exe and exe_acc come from its probes"]
 
 
 def _emit(records: Sequence[EvalRecord], sections: Sequence[Callable[[], Section]],
@@ -614,11 +620,12 @@ def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     and reports. Rerunning is resuming: every answered request replays from
     the cache, so only the unanswered ones reach the transport."""
     corpus = _load_corpus(config)
-    p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
+    graded_on = hashlib.sha256(config.corpus.read_bytes()).hexdigest()
+    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on)
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
-    sections = summarize(run.records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    sections = summarize(run.records, config.task, p_exe, config.seed, warnings)
     save_records(run.records, out / "records.jsonl")
     failures_path = out / "failures.jsonl"
     if run.failures:
@@ -711,8 +718,9 @@ def _cmd_report(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    p_exe, probe_hash = _read_probe_summary(out / "probe_summary.json")
-    sections = summarize(records, config.task, p_exe_by_model=p_exe, seed=config.seed)
+    graded_on = _read_json_object(out / "manifest.json")[0].get("corpus_hash")
+    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on)
+    sections = summarize(records, config.task, p_exe, config.seed, warnings)
     made = _emit(records, sections, probe_hash, config, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK, made
@@ -743,23 +751,33 @@ _COMMANDS: dict[str, tuple[Callable, tuple[str, ...], str | None]] = {
 }
 
 
-def cli_dispatch(argv: Sequence[str]) -> int:
-    """Parse argv and run one command of `_COMMANDS`. Exit codes: 0 success,
-    1 graded with failures, 2 configuration, usage or input-file error.
-
-    A run-directory command loads the config, checks its task and reads the
-    manifest found in the output directory before its handler runs. The
-    handler does its work, writes its outputs and returns its exit code and
-    the manifest fields it made, or None to leave the manifest as found. Only
-    then is the found manifest written, updated with those fields."""
+@lru_cache(maxsize=None)
+def _parser() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The CLI parser and each command's own parser, built once per process."""
     parser = argparse.ArgumentParser(prog="planeval")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags, _) in _COMMANDS.items():
         command = sub.add_parser(name)
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
+    return parser, sub.choices
+
+
+def cli_dispatch(argv: Sequence[str]) -> int:
+    """Parse argv and run one command of `_COMMANDS`. Exit codes: 0 success,
+    1 graded with failures, 2 configuration, usage or input-file error; a
+    flag the command does not take prints that command's usage.
+
+    A run-directory command loads the config, checks its task and reads the
+    manifest found in the output directory before its handler runs. The
+    handler does its work, writes its outputs and returns its exit code and
+    the manifest fields it made, or None to leave the manifest as found. Only
+    then is the found manifest written, updated with those fields."""
+    parser, commands = _parser()
     try:
-        args = parser.parse_args(list(argv))
+        args, extra = parser.parse_known_args(list(argv))
+        if extra:
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     handler, flags, task = _COMMANDS[args.command]

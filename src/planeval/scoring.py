@@ -209,30 +209,18 @@ def rouge_l(candidate: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _param_string(call: ToolCall) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(call.params))
-
-
-def _param_similarity(p: ToolCall, g: ToolCall) -> float:
-    """ROUGE-L of the two parameter strings, and 1 where they are identical:
-    two calls without parameters match fully, though `rouge_l("", "")` is 0."""
-    a, b = _param_string(p), _param_string(g)
-    return 1.0 if a == b else rouge_l(a, b)
-
-
-def _call_repr(call: ToolCall) -> str:
-    return f"{call.name}({_param_string(call)})"
-
-
 def tool_sequence_score(
     pred: Sequence[ToolCall], gold: Sequence[ToolCall], literal: bool = False
 ) -> ToolScore:
     """Score a predicted call sequence against gold.
 
-    Same-named (pred, gold) pairs are matched one-to-one, greedily by
-    descending parameter-string similarity, so acc and recall stay in
-    [0, 1] even with duplicate API names. Ties break on call content, which
-    keeps the score invariant under prediction-order permutation.
+    A same-named (pred, gold) pair scores the ROUGE-L of the two calls'
+    parameter strings (`key=value` pairs sorted by key), and 1 where the
+    strings are identical: two calls without parameters match fully, though
+    `rouge_l("", "")` is 0. Pairs are matched one-to-one, greedily by
+    descending score, so acc and recall stay in [0, 1] even with duplicate
+    API names. Ties break on call content, which keeps the score invariant
+    under prediction-order permutation.
 
     `literal=True` switches to the raw double sum over all same-named
     pairs; that form can exceed 1 when duplicate names occur and exists
@@ -244,35 +232,29 @@ def tool_sequence_score(
     if m == 0 or n == 0:
         return ToolScore(0.0, 0.0, 0.0)
 
+    pred_params, gold_params = (
+        [" ".join(f"{k}={v}" for k, v in sorted(c.params)) for c in calls] for calls in (pred, gold)
+    )
+    # (-score, pred text, gold text, i, j) per same-named pair, pred-major
+    pairs = [
+        (-(1.0 if a == b else rouge_l(a, b)), f"{p.name}({a})", f"{g.name}({b})", i, j)
+        for i, (p, a) in enumerate(zip(pred, pred_params))
+        for j, (g, b) in enumerate(zip(gold, gold_params))
+        if p.name == g.name
+    ]
     if literal:
-        total = sum(
-            _param_similarity(p, g)
-            for p in pred
-            for g in gold
-            if p.name == g.name
-        )
-        acc = total / m
-        recall = total / n
+        total = sum(-pair[0] for pair in pairs)
     else:
-        candidates = []
-        for i, p in enumerate(pred):
-            for j, g in enumerate(gold):
-                if p.name == g.name:
-                    sim = _param_similarity(p, g)
-                    candidates.append((-sim, _call_repr(p), _call_repr(g), i, j))
-        candidates.sort(key=lambda t: t[:3])
         taken_pred: set[int] = set()
         taken_gold: set[int] = set()
         total = 0.0
-        for neg_sim, _, _, i, j in candidates:
+        for neg_sim, _, _, i, j in sorted(pairs):
             if i in taken_pred or j in taken_gold:
                 continue
             taken_pred.add(i)
             taken_gold.add(j)
             total += -neg_sim
-        acc = total / m
-        recall = total / n
-
+    acc, recall = total / m, total / n
     f1 = 2 * acc * recall / (acc + recall) if acc + recall > 0 else 0.0
     return ToolScore(acc, recall, f1)
 

@@ -31,7 +31,7 @@ from planeval.planflow import (
     solve_with_plan,
     template_hashes,
 )
-from planeval.scoring import Condition
+from planeval.scoring import Condition, tool_sequence_score
 
 
 # --- templates
@@ -127,6 +127,18 @@ def test_parse_tool_response_rejects_duplicate_keys():
     parsed, skipped = parse_tool_response("step1: [func]f(a=1, a=2)[/func]")
     assert parsed == ()
     assert skipped == 1
+
+
+def test_parameter_value_holding_a_comma_round_trips():
+    calls = (
+        ToolCall("send_mail", (("to", "u1"), ("body", "done, thanks"))),
+        ToolCall("book", (("id", "F1"),)),
+    )
+    text = render_call_sequence(calls)
+    assert "body=done, thanks)" in text
+    parsed, skipped = parse_tool_response(text)
+    assert (parsed, skipped) == (calls, 0)
+    assert tool_sequence_score(parsed, calls).f1 == 1.0
 
 
 # --- linting

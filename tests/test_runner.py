@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -1100,6 +1101,31 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(math_run, capsys, com
     assert not unused.exists()
 
 
+def test_a_flag_the_command_does_not_take_prints_that_commands_usage(math_run, capsys):
+    _, config, _, _ = math_run
+    assert cli_dispatch(["report", "--config", str(config), "--mock", "X"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: planeval report")
+    assert err.endswith("planeval report: error: unrecognized arguments: --mock X\n")
+
+
+def test_the_cli_parser_is_built_once_per_process(math_run, monkeypatch):
+    _, config, _, _ = math_run
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli_dispatch(["validate", "--config", str(config)]) == EXIT_OK
+    first = len(built)
+    assert cli_dispatch(["validate", "--config", str(config)]) == EXIT_OK
+    assert built.count("planeval") <= 1
+    assert len(built) == first
+
+
 
 # --- execution ceiling and its inputs -----------------------------------------
 
@@ -1134,6 +1160,36 @@ def test_ceiling_comes_from_the_evaluated_items_not_the_probed_corpus(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["corpus_hash"] == sha256_of(corpus_b)
     assert manifest["inputs"]["probe_summary"] == sha256_of(out / "probe_summary.json")
+
+
+def test_probe_summary_of_another_corpus_is_kept_with_a_warning_naming_both_hashes(tmp_path):
+    lines = make_math_lines(12)
+    corpus_a = write_gsm8k_file(tmp_path / "a.jsonl", lines[:6])
+    corpus_b = write_gsm8k_file(tmp_path / "b.jsonl", lines[6:])
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        math_transcript_entries(load_gsm8k(corpus_b))
+        + probe_entries(load_gsm8k(corpus_a), wrong_every=1),
+    )
+    out = tmp_path / "out"
+    config_a = write_config(tmp_path, corpus_a)
+    assert cli_dispatch(["probe", "--config", str(config_a), "--mock", str(transcript)]) == EXIT_OK
+    config_b = write_config(tmp_path, corpus_b)
+    warning = (
+        f"probe_summary.json is from corpus {sha256_of(corpus_a)}, not the graded corpus "
+        f"{sha256_of(corpus_b)}; p_exe and exe_acc come from its probes"
+    )
+    for command in (["eval-math", "--mock", str(transcript)], ["report"]):
+        assert cli_dispatch([*command, "--config", str(config_b)]) == EXIT_OK
+        summary = read_json(out / "summary.json")
+        assert summary["models"]["mock-model"]["p_exe"] == 0.0
+        assert summary["models"]["mock-model"]["acc"] == 1.0
+        assert summary["warnings"] == [warning]
+        assert f"## Warnings\n\n- {warning}\n" in (out / "report.md").read_text()
+
+    assert cli_dispatch(["probe", "--config", str(config_b), "--mock", str(transcript)]) == EXIT_PARTIAL
+    assert cli_dispatch(["report", "--config", str(config_b)]) == EXIT_OK
+    assert read_json(out / "summary.json")["warnings"] == []
 
 
 def test_item_whose_every_cell_failed_is_left_out_of_the_ceiling(tmp_path):
