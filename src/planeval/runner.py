@@ -10,7 +10,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -96,8 +96,9 @@ _CONFIG_KEYS: dict[str, tuple[tuple[type, ...], object]] = {
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: model roster, corpus, condition matrix, run knobs, and
-    the sha256 of the config file. `load` reads it from a file in the format
-    of `_CONFIG_KEYS`; relative paths resolve against the file's directory.
+    the sha256 of the config file and of the corpus, the one place either is
+    read for a hash. `load` reads it from a file in the format of
+    `_CONFIG_KEYS`; relative paths resolve against the file's directory.
     """
 
     task: str
@@ -112,6 +113,7 @@ class RunConfig:
     teacher_model: str | None
     sft_mode: str
     config_hash: str
+    corpus_hash: str
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -138,7 +140,7 @@ class RunConfig:
         del v["description"]
         for key in ("corpus", "cache_dir", "output_dir"):
             v[key] = path.parent / v[key]
-        cfg = cls(**v, config_hash=digest)
+        cfg = cls(**v, config_hash=digest, corpus_hash="")
         if cfg.task not in ("math", "tools"):
             raise ConfigError(f"unknown task {cfg.task!r}")
         if not cfg.models:
@@ -161,9 +163,13 @@ class RunConfig:
         if cfg.teacher_model is not None and cfg.teacher_model not in names:
             raise ConfigError(f"teacher model {cfg.teacher_model!r} not declared")
         if cfg.sft_mode not in sftgen.MODES:
-            raise ConfigError(f"unknown sft_mode {cfg.sft_mode!r}, expected one of {sftgen.MODES}")
-        if not cfg.corpus.exists():
-            raise ConfigError(f"corpus file not found: {cfg.corpus}")
+            raise ConfigError(
+                f"unknown sft_mode {cfg.sft_mode!r}, expected one of {tuple(sftgen.MODES)}"
+            )
+        try:
+            cfg = replace(cfg, corpus_hash=hashlib.sha256(cfg.corpus.read_bytes()).hexdigest())
+        except (FileNotFoundError, NotADirectoryError):
+            raise ConfigError(f"corpus file not found: {cfg.corpus}") from None
         if cfg.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
         if cfg.seed < 0:
@@ -192,7 +198,7 @@ def build_manifest(config: RunConfig, item_count: int) -> dict:
     return {
         "config_hash": config.config_hash,
         "template_hashes": template_hashes(),
-        "corpus_hash": hashlib.sha256(config.corpus.read_bytes()).hexdigest(),
+        "corpus_hash": config.corpus_hash,
         "probe_prompt": PROBE_PROMPT,
         "seed": config.seed,
         "harness_version": __version__,
@@ -576,7 +582,7 @@ def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
         "models": per_model,
         "probe_count": len(probes),
         "skipped_expressions": extraction.skipped_count,
-        "corpus_hash": made["corpus_hash"],
+        "corpus_hash": config.corpus_hash,
     }
     for name, run in runs.items():
         save_probe_results(run.results, _probes_path(out, name))
@@ -605,12 +611,12 @@ def _read_probe_summary(path: Path, graded_on: str | None) -> tuple[dict, str | 
 
 
 def _emit(records: Sequence[EvalRecord], sections: Sequence[Callable[[], Section]],
-          probe_hash: str | None, config: RunConfig, out: Path) -> dict:
+          probe_hash: str | None, graded_on: str | None, config: RunConfig, out: Path) -> dict:
     """Write the reports of `sections`; return the manifest fields they make: the
-    seed the bootstrap used and the sha256 of the probe summary and records the
-    reports summarize."""
+    seed the bootstrap used and the sha256 of the corpus the records were
+    graded on, and of the probe summary and records the reports summarize."""
     emit_report(records, config.task, sections, out)
-    inputs = {"probe_summary": probe_hash,
+    inputs = {"corpus": graded_on, "probe_summary": probe_hash,
               "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
     return {"seed": config.seed, "inputs": inputs}
 
@@ -620,8 +626,7 @@ def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     and reports. Rerunning is resuming: every answered request replays from
     the cache, so only the unanswered ones reach the transport."""
     corpus = _load_corpus(config)
-    graded_on = hashlib.sha256(config.corpus.read_bytes()).hexdigest()
-    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on)
+    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", config.corpus_hash)
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
@@ -633,7 +638,7 @@ def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     else:
         failures_path.unlink(missing_ok=True)
     made = build_manifest(config, len(corpus))
-    made |= _emit(run.records, sections, probe_hash, config, out)
+    made |= _emit(run.records, sections, probe_hash, config.corpus_hash, config, out)
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK, made
 
@@ -695,7 +700,7 @@ def _cmd_build_sft(config: RunConfig, out: Path, args) -> tuple[int, dict | None
     corpus = _load_corpus(config)
     teacher = config.teacher_model
     plans = {}
-    if config.sft_mode in ("all", "plan_only"):
+    if "plan_target" in sftgen.MODES[config.sft_mode]:
         if teacher is None:
             raise ConfigError("build-sft needs teacher_model in config")
         spec = next(m for m in config.models if m.name == teacher)
@@ -718,10 +723,16 @@ def _cmd_report(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     if not records_path.exists():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
-    graded_on = _read_json_object(out / "manifest.json")[0].get("corpus_hash")
+    manifest = out / "manifest.json"
+    inputs = _read_json_object(manifest)[0].get("inputs", {})
+    if not isinstance(inputs, dict) or type(inputs.get("corpus")) not in (str, type(None)):
+        raise ConfigError(
+            f"{manifest}: inputs is {inputs!r}, not an object whose corpus is a string or null"
+        )
+    graded_on = inputs.get("corpus")
     p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on)
     sections = summarize(records, config.task, p_exe, config.seed, warnings)
-    made = _emit(records, sections, probe_hash, config, out)
+    made = _emit(records, sections, probe_hash, graded_on, config, out)
     print(f"report for {len(records)} records -> {out}")
     return EXIT_OK, made
 
@@ -765,8 +776,9 @@ def _parser() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPa
 
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv and run one command of `_COMMANDS`. Exit codes: 0 success,
-    1 graded with failures, 2 configuration, usage or input-file error; a
-    flag the command does not take prints that command's usage.
+    1 graded with failures, 2 configuration, usage or input-file error (a
+    path that cannot be read or written included); a flag the command does
+    not take prints that command's usage.
 
     A run-directory command loads the config, checks its task and reads the
     manifest found in the output directory before its handler runs. The
@@ -797,7 +809,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         if made is not None:
             write_json(out / "manifest.json", found | made)
         return code
-    except (ConfigError, FormatError, ParseError) as exc:
+    except (ConfigError, FormatError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

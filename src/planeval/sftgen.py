@@ -12,8 +12,13 @@ from .corpora import MathProblem, ToolTask
 from .jsonio import read_rows, write_json, write_jsonl
 from .planflow import Plan, has_answer_leak, render_call_sequence, render_prompt, template_hashes
 
-KINDS = ("plan_target", "answer_target")
-MODES = ("all", "plan_only", "answer_only")
+# Each sft_mode and the target kinds it writes per item, in file order. `all`
+# writes every kind: the kinds SftRecord accepts and sft_meta.json counts.
+MODES = {
+    "all": ("answer_target", "plan_target"),
+    "plan_only": ("plan_target",),
+    "answer_only": ("answer_target",),
+}
 
 # Echoed into the sidecar metadata for downstream trainers; never consumed here.
 TRAINING_METADATA = {
@@ -49,7 +54,7 @@ class SftRecord:
     source_id: str
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in MODES["all"]:
             raise ValueError(f"unknown kind {self.kind!r}")
         if not self.prompt or not self.target:
             raise ValueError("prompt and target must be nonempty")
@@ -66,20 +71,15 @@ def build_sft_corpus(
     plans: Mapping[str, Plan],
     mode: str = "all",
 ) -> list[SftRecord]:
-    """Build training records from a corpus and its teacher-generated plans.
-
-    mode "all" emits one plan target and one answer target per item;
-    "plan_only" and "answer_only" emit the corresponding single kind. Plan
-    prompts render from the plan template and answer prompts from the
-    direct template. Math plan targets that contain the gold final answer
-    abort the build.
+    """Build training records from a corpus and its teacher-generated plans:
+    for each item in id order, one record of each target kind of `mode`
+    (see MODES). Plan prompts render from the plan template and answer
+    prompts from the direct template. Math plan targets that contain the
+    gold final answer abort the build.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    want_plan = mode in ("all", "plan_only")
-    want_answer = mode in ("all", "answer_only")
-
-    if want_plan:
+        raise ValueError(f"mode must be one of {tuple(MODES)}")
+    if "plan_target" in MODES[mode]:
         missing = [item.id for item in corpus if item.id not in plans]
         if missing:
             raise MissingPlan(missing)
@@ -94,26 +94,12 @@ def build_sft_corpus(
 
     records: list[SftRecord] = []
     for item in sorted(corpus, key=lambda i: i.id):
-        kind_records = []
-        if want_answer:
-            kind_records.append(
-                SftRecord(
-                    kind="answer_target",
-                    prompt=render_prompt("direct", item),
-                    target=_gold_answer_text(item),
-                    source_id=item.id,
-                )
-            )
-        if want_plan:
-            kind_records.append(
-                SftRecord(
-                    kind="plan_target",
-                    prompt=render_prompt("plan", item),
-                    target=plans[item.id].text,
-                    source_id=item.id,
-                )
-            )
-        records.extend(sorted(kind_records, key=lambda r: r.kind))
+        for kind in MODES[mode]:
+            if kind == "plan_target":
+                prompt, target = render_prompt("plan", item), plans[item.id].text
+            else:
+                prompt, target = render_prompt("direct", item), _gold_answer_text(item)
+            records.append(SftRecord(kind=kind, prompt=prompt, target=target, source_id=item.id))
     return records
 
 
@@ -144,7 +130,7 @@ def write_sft_outputs(
     out_dir = Path(out_dir)
     records = build_sft_corpus(corpus, plans, mode=mode)
     corpus_path = serialize_sft(records, out_dir / "sft_corpus.jsonl")
-    counts = {kind: sum(1 for r in records if r.kind == kind) for kind in KINDS}
+    counts = {kind: sum(1 for r in records if r.kind == kind) for kind in MODES["all"]}
     meta = {
         "teacher_model": teacher_model,
         "mode": mode,

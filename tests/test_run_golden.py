@@ -9,8 +9,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from helpers import build_math_corpus, math_transcript_entries, probe_entries
+import pytest
+
+from helpers import build_math_corpus, build_tool_corpus, math_transcript_entries, probe_entries
 from planeval.gateway import write_transcript
+from planeval.planflow import render_prompt
 from planeval.runner import cli_dispatch
 
 MODELS = [
@@ -46,7 +49,7 @@ FILES = {
     "summary.json": "b08ed15a883c8ef24d2a12b13b5957a04f223d3927756bd17f057611dedbc894",
 }
 PROBED = "0df52be12e28f68cdfbd19dd53711172353ed125bb932bc444d2bf76c41d0fd8"
-REPORTED = "4f5112c50f475f58b88e296379a7289423cb64f600fdc3250bd4b883c4b762d9"
+REPORTED = "f3fea12856c014d0b60cb94e54c04c7e73520ef98200c167dd3ea838e15ac11f"
 # (command, exit code, stdout, stderr, the manifest's sha256, the files it adds)
 STEPS = [
     ("report", 2, "", "error: records file not found: <tmp>/out/records.jsonl\n", None, ()),
@@ -98,3 +101,49 @@ def test_command_sequence_outputs_are_pinned(tmp_path, capsys):
         if manifest is not None:
             expected["manifest.json"] = manifest
         assert _digests(tmp_path / "out") == expected, command
+
+
+# The sha256 of (sft_corpus.jsonl, sft_meta.json) that `build-sft` writes for
+# each (task, sft_mode) on a fixed 5-item corpus with a scripted teacher.
+SFT = {
+    ("math", "all"): (
+        "76370eafad50b3d176fcfb79fdd4f020b0100f336e49e4d090cc9eb1a3410610",
+        "224aa59360875e4216e03aa31c0b69639ed67a96d4e3283b20fe6fdec36c0406",
+    ),
+    ("math", "answer_only"): (
+        "3af0a82b1a2b5a5bcbe3e9b1f76a585a8185d611419c433b15701fd6e6615661",
+        "7e09a8c936667eea2ae368034746b47192edea6782bc3c4744f848a5a0b0f25f",
+    ),
+    ("math", "plan_only"): (
+        "d934f348e738153651948c5b5e8dee4dfc60adbbf8881dd35c1fd57546d439ea",
+        "85473e25e7231b074548af0e934156c84666d678af78f5d09cccacf2fd32bfbc",
+    ),
+    ("tools", "all"): (
+        "098eea7257acdf603d44cff7692a4db5633673ba14d7a16bdb354911f8b06f4c",
+        "224aa59360875e4216e03aa31c0b69639ed67a96d4e3283b20fe6fdec36c0406",
+    ),
+    ("tools", "answer_only"): (
+        "35c0775c9b63dedbfbd182955606eac7e4ee1338f97cc5fb3e7e90c424aff85e",
+        "7e09a8c936667eea2ae368034746b47192edea6782bc3c4744f848a5a0b0f25f",
+    ),
+    ("tools", "plan_only"): (
+        "388bc1666a8fc6f4803ee09468bc726daa13ec01611ff778aa001e77c8922513",
+        "85473e25e7231b074548af0e934156c84666d678af78f5d09cccacf2fd32bfbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("task, mode", sorted(SFT))
+def test_build_sft_outputs_are_pinned_for_every_task_and_mode(tmp_path, task, mode):
+    build = build_math_corpus if task == "math" else build_tool_corpus
+    items = build(tmp_path / "corpus.jsonl", count=5)
+    plans = [(render_prompt("plan", item), f"First we should study {item.id}, then total it.")
+             for item in items]
+    transcript = write_transcript(tmp_path / "transcript.jsonl", plans)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, task=task, sft_mode=mode), indent=2))
+    assert cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)]) == 0
+    out = tmp_path / "out"
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("sft_corpus.jsonl", "sft_meta.json"))
+    assert digests == SFT[(task, mode)]

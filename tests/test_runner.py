@@ -276,6 +276,21 @@ def test_readme_cli_block_lists_every_command_with_exactly_its_flags():
     ]
 
 
+def test_readme_states_the_sft_modes_and_the_targets_each_writes():
+    lines = (REPO_CONFIGS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    (row,) = [line for line in lines if line.startswith("| `sft_mode` |")]
+    *others, last = [f"`{mode}`" for mode in sftgen_module.MODES]
+    assert row.strip("|").split("|")[3].strip() == f"{', '.join(others)} or {last}"
+    writes = [
+        f"`{mode}` writes {' then '.join(f'`{kind}`' for kind in kinds)}"
+        for mode, kinds in sftgen_module.MODES.items()
+    ]
+    assert (
+        "- **SFT targets**: for each corpus item, in id order, `build-sft` writes one record per "
+        f"target kind of its `sft_mode`: {_listed(writes)}."
+    ) in lines
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", 1.7), ("seed", True), ("seed", "3"), ("concurrency", 2.9), ("concurrency", True),
     ("planners", "mock-model"), ("conditions", "direct_cot"), ("models", {"name": "mock-model"}),
@@ -332,7 +347,8 @@ def test_manifest_written_fields(tmp_path):
     written = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert set(written) == set(data) | {"inputs"}
     assert written["inputs"] == {
-        "probe_summary": None, "records": sha256_of(tmp_path / "out" / "records.jsonl"),
+        "corpus": sha256_of(tmp_path / "c.jsonl"), "probe_summary": None,
+        "records": sha256_of(tmp_path / "out" / "records.jsonl"),
     }
 
 
@@ -1192,6 +1208,105 @@ def test_probe_summary_of_another_corpus_is_kept_with_a_warning_naming_both_hash
     assert read_json(out / "summary.json")["warnings"] == []
 
 
+def test_report_after_a_probe_of_another_corpus_compares_with_the_evaluated_corpus(tmp_path):
+    lines = make_math_lines(12)
+    corpus_a = write_gsm8k_file(tmp_path / "a.jsonl", lines[:6])
+    corpus_b = write_gsm8k_file(tmp_path / "b.jsonl", lines[6:])
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        math_transcript_entries(load_gsm8k(corpus_b))
+        + probe_entries(load_gsm8k(corpus_a), wrong_every=1),
+    )
+    out = tmp_path / "out"
+    for corpus, command in ((corpus_b, "eval-math"), (corpus_a, "probe"), (corpus_b, "report")):
+        config = write_config(tmp_path, corpus)
+        argv = [command, "--config", str(config)] + ["--mock", str(transcript)] * (command != "report")
+        assert cli_dispatch(argv) == EXIT_OK, command
+    summary = read_json(out / "summary.json")
+    assert (summary["models"]["mock-model"]["p_exe"], summary["models"]["mock-model"]["acc"]) == (0.0, 1.0)
+    assert summary["warnings"] == [
+        f"probe_summary.json is from corpus {sha256_of(corpus_a)}, not the graded corpus "
+        f"{sha256_of(corpus_b)}; p_exe and exe_acc come from its probes"
+    ]
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["corpus_hash"], manifest["inputs"]["corpus"]) == (
+        sha256_of(corpus_a), sha256_of(corpus_b)
+    )
+
+
+@pytest.mark.parametrize("inputs", [[], "a", {"corpus": 5}, {"corpus": ["a"]}])
+def test_report_rejects_a_manifest_whose_inputs_are_malformed(math_run, capsys, inputs):
+    _, config, transcript, tmp_path = math_run
+    out = tmp_path / "out"
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    write_json(out / "manifest.json", dict(read_json(out / "manifest.json"), inputs=inputs))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out / 'manifest.json'}: inputs")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_corpus_rewritten_during_eval_leaves_the_graded_files_hash_in_the_manifest(
+    tmp_path, monkeypatch
+):
+    lines = make_math_lines(9)
+    corpus = write_gsm8k_file(tmp_path / "corpus.jsonl", lines[:6])
+    graded = sha256_of(corpus)
+    transcript = write_transcript(tmp_path / "t.jsonl", math_transcript_entries(load_gsm8k(corpus)))
+    config = write_config(tmp_path, corpus, concurrency=1)
+    rewritten = []
+
+    class RewritingMockTransport(runner_module.MockTransport):
+        def send(self, model, request):
+            if not rewritten:
+                rewritten.append(write_gsm8k_file(corpus, lines))
+            return super().send(model, request)
+
+    monkeypatch.setattr(runner_module, "MockTransport", RewritingMockTransport)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert rewritten and sha256_of(corpus) != graded
+    assert len((out / "records.jsonl").read_text().splitlines()) == 6
+    manifest = read_json(out / "manifest.json")
+    assert manifest["corpus_hash"] == graded
+    assert manifest["inputs"]["corpus"] == graded
+
+
+@pytest.mark.parametrize("command", ["validate", "eval-math"])
+def test_corpus_path_that_is_a_directory_exits_2_with_one_line(tmp_path, capsys, command):
+    (tmp_path / "corpus").mkdir()
+    config = write_config(tmp_path, tmp_path / "corpus")
+    transcript = write_transcript(tmp_path / "t.jsonl", [])
+    argv = [command, "--config", str(config)] + ["--mock", str(transcript)] * (command != "validate")
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and str(tmp_path / "corpus") in err[0]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+def test_cache_dir_that_is_a_file_exits_2_with_one_line(math_run, capsys):
+    _, config, transcript, tmp_path = math_run
+    (tmp_path / "cache").write_text("")
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / "cache") in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_records_file_that_is_a_directory_exits_2_with_one_line(math_run, capsys):
+    _, config, _, tmp_path = math_run
+    records = tmp_path / "out" / "records.jsonl"
+    records.mkdir(parents=True)
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(records) in err[0]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["records.jsonl"]
+
+
 def test_item_whose_every_cell_failed_is_left_out_of_the_ceiling(tmp_path):
     problems = build_math_corpus(tmp_path / "corpus.jsonl", count=2)
     assert [p.step_count for p in problems] == [2, 3]
@@ -1233,13 +1348,15 @@ def test_manifest_names_the_probe_summary_the_report_read(math_run):
     out = tmp_path / "out"
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
     written = read_json(out / "manifest.json")
-    assert written["inputs"] == {"probe_summary": None, "records": sha256_of(out / "records.jsonl")}
+    assert written["inputs"] == {"corpus": sha256_of(tmp_path / "corpus.jsonl"),
+                                 "probe_summary": None, "records": sha256_of(out / "records.jsonl")}
     hashes = []
     for p_exe in (0.5, 0.25):
         write_json(out / "probe_summary.json", {"models": {"mock-model": {"p_exe": p_exe}}})
         assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
         manifest = read_json(out / "manifest.json")
         assert manifest["inputs"] == {
+            "corpus": sha256_of(tmp_path / "corpus.jsonl"),
             "probe_summary": sha256_of(out / "probe_summary.json"),
             "records": sha256_of(out / "records.jsonl"),
         }

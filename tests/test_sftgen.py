@@ -16,6 +16,7 @@ from helpers import (
 from planeval.corpora import load_toolbench
 from planeval.jsonio import FormatError
 from planeval.planflow import Plan, render_call_sequence, render_prompt
+from planeval.runner import ConfigError, RunConfig
 from planeval.sftgen import (
     AnswerLeak,
     MissingPlan,
@@ -88,6 +89,19 @@ def test_answer_leak_detected(math_corpus):
 def test_answer_only_mode_needs_no_plans(math_corpus):
     records = build_sft_corpus(math_corpus, {}, mode="answer_only")
     assert len(records) == len(math_corpus)
+
+
+def test_unknown_mode_names_the_modes_in_both_error_texts(tmp_path, math_corpus):
+    modes = "('all', 'plan_only', 'answer_only')"
+    with pytest.raises(ValueError) as err:
+        build_sft_corpus(math_corpus, {}, mode="plan-only")
+    assert str(err.value) == f"mode must be one of {modes}"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": "m.jsonl", "models": [{"name": "m", "endpoint_url": "",
+                                  "api_key_env": "", "max_tokens": 8}], "sft_mode": "plan-only"}))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(config)
+    assert str(err.value) == f"unknown sft_mode 'plan-only', expected one of {modes}"
 
 
 def test_tool_targets_use_call_grammar(tmp_path):
