@@ -159,8 +159,9 @@ class ToolLoadResult:
     drop_reasons: Mapping[str, int]
 
 
-def load_gsm8k(path: str | Path) -> list[MathProblem]:
-    """Load math items from JSON Lines with `question` and `answer` fields.
+def load_gsm8k(path: str | Path, data: bytes | None = None) -> list[MathProblem]:
+    """Load math items from JSON Lines with `question` and `answer` fields:
+    the file at `path`, or `data`, its bytes, when the caller has read them.
 
     The gold answer is the number after the final `#### ` marker (commas
     stripped); every `<<expr=result>>` span becomes one calculator
@@ -172,7 +173,7 @@ def load_gsm8k(path: str | Path) -> list[MathProblem]:
     """
     problems: list[MathProblem] = []
     seen: set[str] = set()
-    for line_no, obj in read_jsonl(path):
+    for line_no, obj in read_jsonl(path, data):
         if not isinstance(obj, dict) or "question" not in obj or "answer" not in obj:
             raise FormatError(f"missing question/answer field in {path}", line_no)
         obj = {"id": f"g{line_no:05d}", **obj}
@@ -267,8 +268,9 @@ def step_distribution(items: Iterable) -> StepDistribution:
     return StepDistribution.from_counts(counts)
 
 
-def load_toolbench(path: str | Path) -> ToolLoadResult:
-    """Load tool tasks from JSON Lines, applying the cleaning rules:
+def load_toolbench(path: str | Path, data: bytes | None = None) -> ToolLoadResult:
+    """Load tool tasks from JSON Lines (the file at `path`, or `data`, its
+    bytes, when the caller has read them), applying the cleaning rules:
     unsuccessful calls are dropped from gold sequences, and tasks whose
     remaining gold calls cover fewer than two distinct APIs are dropped.
     Counts of dropped tasks and calls are reported on the result.
@@ -278,7 +280,7 @@ def load_toolbench(path: str | Path) -> ToolLoadResult:
     dropped_calls = 0
     reasons: Counter[str] = Counter()
     seen: set[str] = set()
-    for line_no, obj in read_jsonl(path):
+    for line_no, obj in read_jsonl(path, data):
         for key in ("task", "functions", "calls"):
             if not isinstance(obj, dict) or key not in obj:
                 raise FormatError(f"missing {key} field in {path}", line_no)

@@ -10,6 +10,7 @@ indented by two, with a trailing newline).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -88,11 +89,14 @@ def write_json(path: str | Path, obj) -> Path:
     return Path(path)
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def read_lines(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) for each line of a UTF-8 text file, numbered
-    as text mode splits them. A line holding bytes that are not UTF-8 raises
+    as text mode splits them. The lines are split from `data` when the caller
+    has already read the file's bytes, and read from `path` otherwise; `path`
+    names the file in errors. A line holding bytes that are not UTF-8 raises
     FormatError with its number."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -102,9 +106,9 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield (line number, parsed object) for each nonblank line."""
-    for line_no, line in read_lines(path):
+def read_jsonl(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed object) for each nonblank line of `read_lines`."""
+    for line_no, line in read_lines(path, data):
         line = line.strip()
         if not line:
             continue
@@ -115,10 +119,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
         yield line_no, obj
 
 
-def read_rows(path: str | Path, kind: str, build) -> Iterator:
-    """`build(obj)` for each row of a JSON Lines file; a row that `build`
-    rejects raises FormatError with its line number."""
-    for line_no, obj in read_jsonl(path):
+def read_rows(path: str | Path, kind: str, build, data: bytes | None = None) -> Iterator:
+    """`build(obj)` for each row of `read_jsonl`; a row that `build` rejects
+    raises FormatError with its line number."""
+    for line_no, obj in read_jsonl(path, data):
         try:
             yield build(obj)
         except (KeyError, TypeError, ValueError) as exc:

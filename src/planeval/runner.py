@@ -10,7 +10,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -27,7 +27,8 @@ from .corpora import (
     load_toolbench,
     step_distribution,
 )
-from .gateway import Gateway, GatewayError, HttpTransport, MockTransport, ModelSpec
+from .gateway import DEFAULT_MAX_IN_FLIGHT, Gateway, GatewayError, HttpTransport, MockTransport
+from .gateway import ModelSpec
 from .jsonio import FormatError, atomic_open, check_types, read_lines, read_rows
 from .jsonio import write_json, write_jsonl
 from .planflow import (
@@ -86,7 +87,7 @@ _CONFIG_KEYS: dict[str, tuple[tuple[type, ...], object]] = {
     "conditions": ((list,), ["direct_cot"]),
     "cache_dir": ((str,), "runs/cache"),
     "output_dir": ((str,), "runs/out"),
-    "concurrency": ((int,), 8),
+    "concurrency": ((int,), DEFAULT_MAX_IN_FLIGHT),
     "seed": ((int,), 0),
     "teacher_model": ((str, type(None)), None),
     "sft_mode": ((str,), "all"),
@@ -95,10 +96,10 @@ _CONFIG_KEYS: dict[str, tuple[tuple[type, ...], object]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: model roster, corpus, condition matrix, run knobs, and
-    the sha256 of the config file and of the corpus, the one place either is
-    read for a hash. `load` reads it from a file in the format of
-    `_CONFIG_KEYS`; relative paths resolve against the file's directory.
+    """One experiment: model roster, corpus path, condition matrix, run knobs,
+    and the sha256 of the config file. `load` reads it from a file in the
+    format of `_CONFIG_KEYS`, and reads no other file; relative paths resolve
+    against the file's directory.
     """
 
     task: str
@@ -113,7 +114,6 @@ class RunConfig:
     teacher_model: str | None
     sft_mode: str
     config_hash: str
-    corpus_hash: str
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -140,7 +140,7 @@ class RunConfig:
         del v["description"]
         for key in ("corpus", "cache_dir", "output_dir"):
             v[key] = path.parent / v[key]
-        cfg = cls(**v, config_hash=digest, corpus_hash="")
+        cfg = cls(**v, config_hash=digest)
         if cfg.task not in ("math", "tools"):
             raise ConfigError(f"unknown task {cfg.task!r}")
         if not cfg.models:
@@ -166,10 +166,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown sft_mode {cfg.sft_mode!r}, expected one of {tuple(sftgen.MODES)}"
             )
-        try:
-            cfg = replace(cfg, corpus_hash=hashlib.sha256(cfg.corpus.read_bytes()).hexdigest())
-        except (FileNotFoundError, NotADirectoryError):
-            raise ConfigError(f"corpus file not found: {cfg.corpus}") from None
         if cfg.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
         if cfg.seed < 0:
@@ -191,14 +187,15 @@ class RunConfig:
         ]
 
 
-def build_manifest(config: RunConfig, item_count: int) -> dict:
-    """Provenance of the outputs a command writes beside it. Each command reads
-    the manifest it finds before any model call and writes it, updated with
-    these fields, after all of its other outputs."""
+def build_manifest(config: RunConfig, corpus_hash: str, item_count: int) -> dict:
+    """Provenance of the outputs a command writes beside it, from the corpus of
+    `item_count` items whose bytes have the sha256 `corpus_hash`. Each command
+    reads the manifest it finds before any model call and writes it, updated
+    with these fields, after all of its other outputs."""
     return {
         "config_hash": config.config_hash,
         "template_hashes": template_hashes(),
-        "corpus_hash": config.corpus_hash,
+        "corpus_hash": corpus_hash,
         "probe_prompt": PROBE_PROMPT,
         "seed": config.seed,
         "harness_version": __version__,
@@ -249,10 +246,12 @@ def _record(obj, cells: set) -> EvalRecord:
     return r
 
 
-def load_records(path: Path) -> list[EvalRecord]:
-    """A row that repeats an earlier row's cell and item raises FormatError."""
+def load_records(path: Path, data: bytes | None = None) -> list[EvalRecord]:
+    """The records in the file at `path`, or in `data`, its bytes, when the
+    caller has read them. A row that repeats an earlier row's cell and item
+    raises FormatError."""
     cells: set = set()
-    return list(read_rows(path, "record", lambda obj: _record(obj, cells)))
+    return list(read_rows(path, "record", lambda obj: _record(obj, cells), data))
 
 
 # --- summary and report ----------------------------------------------------
@@ -541,6 +540,7 @@ def _gateway(config: RunConfig, args) -> Gateway:
 
 
 def _cmd_validate(config: RunConfig) -> int:
+    _load_corpus(config)
     print(f"config ok: task={config.task} models={len(config.models)} "
           f"conditions={list(config.conditions)}")
     for cond, solver, planner in config.resolved_matrix():
@@ -549,10 +549,17 @@ def _cmd_validate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_corpus(config: RunConfig):
+def _load_corpus(config: RunConfig) -> tuple[Sequence, str]:
+    """The items of the config's corpus and the sha256 of the bytes they were
+    parsed from: the one read of the corpus file."""
+    try:
+        data = config.corpus.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"corpus file not found: {config.corpus}") from None
+    digest = hashlib.sha256(data).hexdigest()
     if config.task == "math":
-        return load_gsm8k(config.corpus)
-    return load_toolbench(config.corpus).tasks
+        return load_gsm8k(config.corpus, data), digest
+    return load_toolbench(config.corpus, data).tasks, digest
 
 
 def _probes_path(out: Path, model_name: str) -> Path:
@@ -562,17 +569,17 @@ def _probes_path(out: Path, model_name: str) -> Path:
     return out / f"probes_{model_name.replace('%', '%25').replace('/', '%2F')}.jsonl"
 
 
-def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
+def _cmd_probe(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict]:
     if args.limit is not None and args.limit < 1:
         raise ConfigError("--limit must be >= 1")
-    problems = load_gsm8k(config.corpus)
+    problems, corpus_hash = _load_corpus(config)
     extraction = extract_probes(problems)
     probes = extraction.probes[: args.limit]
     if not probes:
         raise ConfigError("no usable probes in corpus")
     gateway = _gateway(config, args)
     runs = {model.name: measure_p_exe(gateway, model, probes) for model in config.models}
-    made = build_manifest(config, len(problems))
+    made = build_manifest(config, corpus_hash, len(problems))
     per_model = {
         name: {"p_exe": run.p_exe if run.results else None,
                "graded": len(run.results), "ungraded": len(run.ungraded)}
@@ -582,7 +589,7 @@ def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
         "models": per_model,
         "probe_count": len(probes),
         "skipped_expressions": extraction.skipped_count,
-        "corpus_hash": config.corpus_hash,
+        "corpus_hash": corpus_hash,
     }
     for name, run in runs.items():
         save_probe_results(run.results, _probes_path(out, name))
@@ -592,9 +599,13 @@ def _cmd_probe(config: RunConfig, out: Path, args) -> tuple[int, dict]:
     return EXIT_PARTIAL if any(run.ungraded for run in runs.values()) else EXIT_OK, made
 
 
-def _read_probe_summary(path: Path, graded_on: str | None) -> tuple[dict, str | None, list]:
-    """The p_exe per model in `probe`'s summary file, the file's sha256, and one
-    warning if the file names a corpus other than `graded_on`, a corpus hash."""
+def _read_probe_summary(
+    path: Path, graded_on: str | None, config: RunConfig
+) -> tuple[dict, str | None, list]:
+    """The p_exe of each model of `config` in `probe`'s summary file, the file's
+    sha256, and the warnings on the file: one if it names a corpus other than
+    `graded_on`, a corpus hash, and one naming the models it holds that the
+    config does not list."""
     data, digest = _read_json_object(path)
     rows = data.get("models", {})
     if not isinstance(rows, dict) or not all(isinstance(r, dict) for r in rows.values()):
@@ -603,30 +614,27 @@ def _read_probe_summary(path: Path, graded_on: str | None) -> tuple[dict, str | 
     for name, p in p_exe.items():
         if type(p) not in (int, float) or not 0 <= p <= 1:
             raise ConfigError(f"{path}: p_exe of {name!r} is {p!r}, not a number in [0, 1]")
+    warnings = []
     probed = data.get("corpus_hash")
-    if probed in (None, graded_on) or graded_on is None:
-        return p_exe, digest, []
-    return p_exe, digest, [f"{path.name} is from corpus {probed}, not the graded corpus "
-                           f"{graded_on}; p_exe and exe_acc come from its probes"]
+    if graded_on is not None and probed not in (None, graded_on):
+        warnings.append(f"{path.name} is from corpus {probed}, not the graded corpus "
+                        f"{graded_on}; p_exe and exe_acc come from its probes")
+    listed = {m.name for m in config.models}
+    others = sorted(set(rows) - listed)
+    if others:
+        warnings.append(f"{path.name} also holds {', '.join(others)}, which the config does "
+                        "not list; left out of Models")
+    return {name: p for name, p in p_exe.items() if name in listed}, digest, warnings
 
 
-def _emit(records: Sequence[EvalRecord], sections: Sequence[Callable[[], Section]],
-          probe_hash: str | None, graded_on: str | None, config: RunConfig, out: Path) -> dict:
-    """Write the reports of `sections`; return the manifest fields they make: the
-    seed the bootstrap used and the sha256 of the corpus the records were
-    graded on, and of the probe summary and records the reports summarize."""
-    emit_report(records, config.task, sections, out)
-    inputs = {"corpus": graded_on, "probe_summary": probe_hash,
-              "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
-    return {"seed": config.seed, "inputs": inputs}
-
-
-def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
+def _cmd_eval(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict]:
     """Run and summarize the condition matrix, then write the records, failures
     and reports. Rerunning is resuming: every answered request replays from
-    the cache, so only the unanswered ones reach the transport."""
-    corpus = _load_corpus(config)
-    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", config.corpus_hash)
+    the cache, so only the unanswered ones reach the transport. The manifest's
+    `inputs` are the sha256 of the corpus the records were graded on and of
+    the probe summary and records the reports summarize."""
+    corpus, corpus_hash = _load_corpus(config)
+    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", corpus_hash, config)
     run = run_condition_matrix(
         _gateway(config, args), config.models, config.planner_specs, corpus, config.conditions
     )
@@ -637,8 +645,10 @@ def _cmd_eval(config: RunConfig, out: Path, args) -> tuple[int, dict]:
         write_jsonl(failures_path, map(vars, run.failures))
     else:
         failures_path.unlink(missing_ok=True)
-    made = build_manifest(config, len(corpus))
-    made |= _emit(run.records, sections, probe_hash, config.corpus_hash, config, out)
+    emit_report(run.records, config.task, sections, out)
+    inputs = {"corpus": corpus_hash, "probe_summary": probe_hash,
+              "records": hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()}
+    made = build_manifest(config, corpus_hash, len(corpus)) | {"inputs": inputs}
     print(f"{len(run.records)} records, {len(run.failures)} failures -> {out}")
     return EXIT_PARTIAL if run.failures else EXIT_OK, made
 
@@ -653,12 +663,12 @@ def _report_plan_failures(results: Mapping) -> int:
     return failed
 
 
-def _cmd_plan(config: RunConfig, out: Path, args) -> tuple[int, dict]:
-    corpus = _load_corpus(config)
+def _cmd_plan(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict]:
+    corpus, corpus_hash = _load_corpus(config)
     results = generate_plans(_gateway(config, args), config.planner_specs or config.models, corpus)
     write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
     code = EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
-    return code, build_manifest(config, len(corpus))
+    return code, build_manifest(config, corpus_hash, len(corpus))
 
 
 def _cmd_fit(args) -> int:
@@ -696,8 +706,8 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_build_sft(config: RunConfig, out: Path, args) -> tuple[int, dict | None]:
-    corpus = _load_corpus(config)
+def _cmd_build_sft(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict | None]:
+    corpus, corpus_hash = _load_corpus(config)
     teacher = config.teacher_model
     plans = {}
     if "plan_target" in sftgen.MODES[config.sft_mode]:
@@ -715,26 +725,32 @@ def _cmd_build_sft(config: RunConfig, out: Path, args) -> tuple[int, dict | None
     except sftgen.AnswerLeak as exc:
         raise ConfigError(str(exc)) from exc
     print(f"wrote {corpus_path} and {meta_path}")
-    return EXIT_OK, build_manifest(config, len(corpus))
+    return EXIT_OK, build_manifest(config, corpus_hash, len(corpus))
 
 
-def _cmd_report(config: RunConfig, out: Path, args) -> tuple[int, dict]:
+def _cmd_report(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict]:
+    """Summarize the records in the output directory again, with no corpus and
+    no model call, and make the seed the bootstrap used and `inputs` as
+    `eval-*` does: the corpus hash from the `inputs` of the `found` manifest,
+    the records hash from the bytes the records were parsed from."""
     records_path = out / "records.jsonl"
-    if not records_path.exists():
-        raise ConfigError(f"records file not found: {records_path}")
-    records = load_records(records_path)
-    manifest = out / "manifest.json"
-    inputs = _read_json_object(manifest)[0].get("inputs", {})
+    try:
+        data = records_path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"records file not found: {records_path}") from None
+    records = load_records(records_path, data)
+    inputs = found.get("inputs", {})
     if not isinstance(inputs, dict) or type(inputs.get("corpus")) not in (str, type(None)):
-        raise ConfigError(
-            f"{manifest}: inputs is {inputs!r}, not an object whose corpus is a string or null"
-        )
+        raise ConfigError(f"{out / 'manifest.json'}: inputs is {inputs!r}, "
+                          "not an object whose corpus is a string or null")
     graded_on = inputs.get("corpus")
-    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on)
+    p_exe, probe_hash, warnings = _read_probe_summary(out / "probe_summary.json", graded_on, config)
     sections = summarize(records, config.task, p_exe, config.seed, warnings)
-    made = _emit(records, sections, probe_hash, graded_on, config, out)
+    emit_report(records, config.task, sections, out)
+    inputs = {"corpus": graded_on, "probe_summary": probe_hash,
+              "records": hashlib.sha256(data).hexdigest()}
     print(f"report for {len(records)} records -> {out}")
-    return EXIT_OK, made
+    return EXIT_OK, {"seed": config.seed, "inputs": inputs}
 
 
 # The argparse options of each flag.
@@ -782,9 +798,10 @@ def cli_dispatch(argv: Sequence[str]) -> int:
 
     A run-directory command loads the config, checks its task and reads the
     manifest found in the output directory before its handler runs. The
-    handler does its work, writes its outputs and returns its exit code and
-    the manifest fields it made, or None to leave the manifest as found. Only
-    then is the found manifest written, updated with those fields."""
+    handler, given that manifest, does its work, writes its outputs and
+    returns its exit code and the manifest fields it made, or None to leave
+    the manifest as found. Only then is the found manifest written, updated
+    with those fields."""
     parser, commands = _parser()
     try:
         args, extra = parser.parse_known_args(list(argv))
@@ -805,7 +822,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
             return handler(config)
         out = args.out or config.output_dir
         found = _read_json_object(out / "manifest.json")[0]
-        code, made = handler(config, out, args)
+        code, made = handler(config, out, args, found)
         if made is not None:
             write_json(out / "manifest.json", found | made)
         return code

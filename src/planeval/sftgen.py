@@ -104,8 +104,10 @@ def build_sft_corpus(
 
 
 def serialize_sft(records: Sequence[SftRecord], path: str | Path) -> Path:
-    """Write records as JSON Lines in deterministic (source_id, kind) order."""
-    ordered = sorted(records, key=lambda r: (r.source_id, r.kind))
+    """Write records as JSON Lines ordered by source_id, then by the kind's
+    place in `MODES["all"]`."""
+    rank = {kind: k for k, kind in enumerate(MODES["all"])}
+    ordered = sorted(records, key=lambda r: (r.source_id, rank[r.kind]))
     return write_jsonl(path, map(vars, ordered))
 
 

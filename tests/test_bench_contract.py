@@ -63,6 +63,9 @@ def test_traced_math_commands_reconcile_with_the_benchmark_inputs(tmp_path, gen_
     assert metrics["gateway.duplicate_calls"] == 0
     assert metrics["arith.probes_graded"] == len(inputs.models) * inputs.probes
     assert metrics["sftgen.records"] == inputs.sft_records
+    # A corpus read that escapes the `runner.load_gsm8k` wrap reads 0 items and 0 s.
+    assert metrics["corpora.items"] == inputs.items
+    assert metrics["corpora.load_s"] > 0
     # A call resolved outside `runner`'s namespace escapes its wrap and reads 0.
     for name in ("runner.summarize_s", "runner.emit_report_s", "runner.save_records_s",
                  "scoring.paired_significance_s"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -169,10 +170,16 @@ def test_config_cross_model_requires_planners(tmp_path):
         RunConfig.load(path)
 
 
-def test_config_rejects_missing_corpus(tmp_path):
-    path = write_config(tmp_path, tmp_path / "absent.jsonl")
-    with pytest.raises(ConfigError):
-        RunConfig.load(path)
+def test_config_rejects_missing_corpus(tmp_path, capsys):
+    corpus = tmp_path / "absent.jsonl"
+    path = write_config(tmp_path, corpus)
+    RunConfig.load(path)  # reads the config file alone; each command reads the corpus
+    transcript = write_transcript(tmp_path / "t.jsonl", [])
+    for command in ("validate", "probe", "eval-math", "plan", "build-sft"):
+        argv = [command, "--config", str(path)] + ["--mock", str(transcript)] * (command != "validate")
+        assert cli_dispatch(argv) == EXIT_CONFIG, command
+        assert capsys.readouterr().err == f"error: corpus file not found: {corpus}\n", command
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -331,13 +338,13 @@ def test_resolved_matrix_shapes(tmp_path):
 def test_manifest_written_fields(tmp_path):
     problems = build_math_corpus(tmp_path / "c.jsonl", count=3)
     config_path = write_config(tmp_path, tmp_path / "c.jsonl")
-    data = build_manifest(RunConfig.load(config_path), item_count=3)
+    data = build_manifest(RunConfig.load(config_path), sha256_of(tmp_path / "c.jsonl"), item_count=3)
     assert set(data) == {
         "config_hash", "template_hashes", "corpus_hash", "probe_prompt",
         "seed", "harness_version", "created_at", "planned",
     }
     assert data["planned"]["items"] == 3
-    assert len(data["corpus_hash"]) == 64
+    assert data["corpus_hash"] == sha256_of(tmp_path / "c.jsonl")
     assert set(data["template_hashes"]) == {
         "math_direct", "math_plan", "math_guided", "tool_direct", "tool_plan", "tool_guided",
     }
@@ -537,6 +544,27 @@ def test_cli_probe_then_eval_math_merges_bottleneck_columns(math_run):
     assert row["p_exe"] == 1.0
     assert row["exe_acc"] == pytest.approx(1.0)
     assert row["reason_score"] == pytest.approx(row["acc"])
+
+
+def test_a_probed_model_the_config_no_longer_lists_gets_no_models_row(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
+    transcript = write_transcript(
+        tmp_path / "t.jsonl",
+        math_transcript_entries(problems) + probe_entries(problems, wrong_every=3),
+    )
+    both = write_config(tmp_path, tmp_path / "corpus.jsonl", models=[MODEL, PLANNER])
+    assert cli_dispatch(["probe", "--config", str(both), "--mock", str(transcript)]) == EXIT_OK
+    only_a = write_config(tmp_path, tmp_path / "corpus.jsonl")
+    for command in ("eval-math", "report"):
+        argv = [command, "--config", str(only_a)] + ["--mock", str(transcript)] * (command != "report")
+        assert cli_dispatch(argv) == EXIT_OK
+        summary = read_json(tmp_path / "out" / "summary.json")
+        assert list(summary["models"]) == ["mock-model"]
+        assert summary["models"]["mock-model"]["p_exe"] is not None
+        assert [w for w in summary["warnings"] if "mock-planner" in w] == summary["warnings"]
+        assert len(summary["warnings"]) == 1
+        report = (tmp_path / "out" / "report.md").read_text()
+        assert "| mock-planner |" not in report and "| Std. |" not in report
 
 
 def test_cli_eval_tools_offline(tmp_path):
@@ -1272,6 +1300,121 @@ def test_corpus_rewritten_during_eval_leaves_the_graded_files_hash_in_the_manife
     manifest = read_json(out / "manifest.json")
     assert manifest["corpus_hash"] == graded
     assert manifest["inputs"]["corpus"] == graded
+
+
+def test_corpus_rewritten_just_before_it_is_parsed_leaves_records_and_hashes_of_one_file(
+    tmp_path, monkeypatch
+):
+    lines = make_math_lines(9)
+    corpus = write_gsm8k_file(tmp_path / "corpus.jsonl", lines[:6])
+    graded = sha256_of(corpus)
+    problems = load_gsm8k(write_gsm8k_file(tmp_path / "all.jsonl", lines))
+    transcript = write_transcript(tmp_path / "t.jsonl", math_transcript_entries(problems))
+    config = write_config(tmp_path, corpus)
+    load = runner_module.load_gsm8k
+
+    def rewriting_load(*args):
+        write_gsm8k_file(corpus, lines)
+        return load(*args)
+
+    monkeypatch.setattr(runner_module, "load_gsm8k", rewriting_load)
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert sha256_of(corpus) != graded
+    graded_ids = {r.item_id for r in load_records(out / "records.jsonl")}
+    assert graded_ids == {p.id for p in problems[:6]}
+    manifest = read_json(out / "manifest.json")
+    assert manifest["corpus_hash"] == manifest["inputs"]["corpus"] == graded
+    assert manifest["planned"]["items"] == 6
+
+
+def test_report_hashes_the_records_bytes_it_parsed(math_run, monkeypatch):
+    _, config, transcript, tmp_path = math_run
+    assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    records_path = tmp_path / "out" / "records.jsonl"
+    parsed = sha256_of(records_path)
+    load = runner_module.load_records
+
+    def truncating_load(path, *args):
+        records = load(path, *args)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        return records
+
+    monkeypatch.setattr(runner_module, "load_records", truncating_load)
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+    assert sha256_of(records_path) != parsed
+    assert read_json(tmp_path / "out" / "manifest.json")["inputs"]["records"] == parsed
+
+
+def test_report_reads_no_corpus(math_run, capsys):
+    problems, config, transcript, tmp_path = math_run
+    transcript = write_transcript(
+        tmp_path / "full.jsonl", math_transcript_entries(problems) + probe_entries(problems)
+    )
+    for command in ("probe", "eval-math"):
+        assert cli_dispatch([command, "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    out = tmp_path / "out"
+    before = _files(out)
+    (tmp_path / "corpus.jsonl").unlink()
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--config", str(config)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert _files(out) == before
+
+
+# The opens of each path while a test counts them, from the interpreter's
+# "open" audit event, which every way of opening a file raises. An audit hook
+# cannot be removed, so one is added for the session and counts into the
+# counter of the test that is running, if any.
+_OPEN_COUNTS: list[collections.Counter] = []
+
+
+def _count_open(event: str, args: tuple) -> None:
+    if _OPEN_COUNTS and event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        _OPEN_COUNTS[-1][os.path.abspath(os.fsdecode(args[0]))] += 1
+
+
+@cache
+def _add_open_hook() -> None:
+    sys.addaudithook(_count_open)
+
+
+@pytest.fixture
+def open_counts():
+    _add_open_hook()
+    counts = collections.Counter()
+    _OPEN_COUNTS.append(counts)
+    try:
+        yield counts
+    finally:
+        _OPEN_COUNTS.remove(counts)
+
+
+def test_no_command_opens_the_corpus_records_or_manifest_twice(tmp_path, open_counts):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=6)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", models=[MODEL, PLANNER],
+                          planners=["mock-planner"], teacher_model="mock-planner",
+                          conditions=["direct_cot", "plan_augmented", "cross_model_plan"])
+    tasks = build_tool_corpus(tmp_path / "tools" / "corpus.jsonl", count=5)
+    tools_config = write_config(tmp_path / "tools", tmp_path / "tools" / "corpus.jsonl",
+                                task="tools")
+    transcript = write_transcript(
+        tmp_path / "t.jsonl", math_transcript_entries(problems) + probe_entries(problems)
+        + tool_transcript_entries(tasks),
+    )
+    runs = [(command, config, tmp_path) for command in
+            ("validate", "probe", "eval-math", "report", "plan", "build-sft")]
+    runs += [(command, tools_config, tmp_path / "tools") for command in ("eval-tools", "report")]
+    for command, path, root in runs:
+        argv = [command, "--config", str(path)]
+        if command not in ("validate", "report"):
+            argv += ["--mock", str(transcript)]
+        open_counts.clear()
+        assert cli_dispatch(argv) == EXIT_OK, command
+        opens = {name: open_counts[str(root / name)]
+                 for name in ("corpus.jsonl", "out/records.jsonl", "out/manifest.json")}
+        assert opens["corpus.jsonl"] == (command != "report"), (command, opens)
+        assert opens["out/records.jsonl"] <= 1 and opens["out/manifest.json"] <= 1, (command, opens)
 
 
 @pytest.mark.parametrize("command", ["validate", "eval-math"])

@@ -13,6 +13,7 @@ from helpers import (
     make_tool_lines,
     write_tool_file,
 )
+import planeval.sftgen as sftgen_module
 from planeval.corpora import load_toolbench
 from planeval.jsonio import FormatError
 from planeval.planflow import Plan, render_call_sequence, render_prompt
@@ -158,6 +159,18 @@ def test_serialize_deterministic_order_and_bytes(tmp_path, math_corpus):
     assert hashlib.sha256(path_a.read_bytes()).digest() == hashlib.sha256(
         path_c.read_bytes()
     ).digest()
+
+
+def test_serialize_orders_each_items_kinds_as_modes_all_lists_them(
+    tmp_path, math_corpus, monkeypatch
+):
+    plans = _plans_for(math_corpus)
+    records = build_sft_corpus(math_corpus, plans, mode="all")
+    monkeypatch.setitem(sftgen_module.MODES, "all", tuple(reversed(sftgen_module.MODES["all"])))
+    kinds = [obj["kind"] for obj in map(json.loads, serialize_sft(records, tmp_path / "s.jsonl")
+                                        .read_text().splitlines())]
+    assert kinds == ["plan_target", "answer_target"] * len(math_corpus)
+    assert [r.kind for r in build_sft_corpus(math_corpus, plans, mode="all")] == kinds
 
 
 def test_serialize_empty_list(tmp_path):
