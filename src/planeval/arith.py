@@ -1,8 +1,14 @@
 """Exact arithmetic: expression evaluation over rationals, answer-number
-extraction from model text, and the single-step probe harness."""
+extraction from model text, and the single-step probe harness.
+
+Expressions are read with Python's own expression grammar (`ast.parse`) and
+evaluated over `Fraction` by a walk that admits only `+ - * /`, unary signs
+and decimal literals."""
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,45 +31,20 @@ class DivisionByZeroError(ZeroDivisionError):
     """Expression divides by an exactly-zero denominator."""
 
 
-_GLYPHS = {"×": "*", "÷": "/", "−": "-", "–": "-"}
-_NUMBER_RE = re.compile(r"\d+\.\d+|\d+\.|\.\d+|\d+")
+_GLYPHS = str.maketrans("×÷−–", "*/--")
+_LEADING_ZEROS = re.compile(r"(?<![\d.])0+(?=\d)")
+_EXPRESSION_CHARS = frozenset("0123456789.+-*/() ")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def normalize_expression(text: str) -> str:
     """Canonical expression string: no whitespace, ASCII operators, and no
     thousands separators inside numbers."""
-    out = text
-    for glyph, ascii_op in _GLYPHS.items():
-        out = out.replace(glyph, ascii_op)
+    out = text.translate(_GLYPHS)
     out = re.sub(r"(?<=\d),(?=\d)", "", out)
     out = re.sub(r"\s+", "", out)
     return out
-
-
-def _tokenize(expression: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(expression)
-    while i < n:
-        ch = expression[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _GLYPHS:
-            tokens.append(_GLYPHS[ch])
-            i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-            continue
-        m = _NUMBER_RE.match(expression, i)
-        if m:
-            tokens.append(m.group(0))
-            i = m.end()
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r} at position {i}")
-    return tokens
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -76,81 +57,39 @@ def parse_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
-class _Parser:
-    """Recursive-descent parser: standard precedence, left-associative."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionSyntaxError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Fraction:
-        value = self.sum()
-        if self.pos != len(self.tokens):
-            raise ExpressionSyntaxError(f"trailing tokens at {self.tokens[self.pos:]}")
-        return value
-
-    def sum(self) -> Fraction:
-        value = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def product(self) -> Fraction:
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs == 0:
-                    raise DivisionByZeroError("division by zero")
-                value = value / rhs
-        return value
-
-    def unary(self) -> Fraction:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        return sign * self.atom()
-
-    def atom(self) -> Fraction:
-        tok = self.take()
-        if tok == "(":
-            value = self.sum()
-            if self.peek() != ")":
-                raise ExpressionSyntaxError("missing closing parenthesis")
-            self.take()
-            return value
-        if tok and (tok[0].isdigit() or tok[0] == "."):
-            return parse_decimal(tok)
-        raise ExpressionSyntaxError(f"unexpected token {tok!r}")
-
-
 def eval_expr(expression: str) -> Fraction:
     """Evaluate an arithmetic expression exactly.
 
-    Decimal literals convert exactly (0.25 becomes 1/4), so grading never
-    suffers float rounding. Raises ExpressionSyntaxError or
-    DivisionByZeroError.
+    The grammar is Python's own expression grammar restricted to `+ - * /`,
+    unary signs, parentheses and ASCII decimal literals; the glyphs × ÷ − –
+    and leading zeros on integers are accepted. Each literal converts
+    exactly from its source text (0.25 becomes 1/4), so grading never
+    suffers float rounding. Raises ExpressionSyntaxError, also for nesting
+    too deep to parse, or DivisionByZeroError.
     """
-    tokens = _tokenize(expression)
-    if not tokens:
-        raise ExpressionSyntaxError("empty expression")
-    return _Parser(tokens).parse()
+    text = " ".join(expression.translate(_GLYPHS).split())
+    text = _LEADING_ZEROS.sub("", text)
+    bad = set(text) - _EXPRESSION_CHARS
+    if bad:
+        raise ExpressionSyntaxError(f"unexpected characters {sorted(bad)}")
+    try:
+        return _value(ast.parse(text, mode="eval").body, text)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # MemoryError is how the parser reports a stack overflow.
+        raise ExpressionSyntaxError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _value(node: ast.expr, text: str) -> Fraction:
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        left, right = _value(node.left, text), _value(node.right, text)
+        if isinstance(node.op, ast.Div) and right == 0:
+            raise DivisionByZeroError("division by zero")
+        return _BINARY[type(node.op)](left, right)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_value(node.operand, text))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return parse_decimal(ast.get_source_segment(text, node))
+    raise ExpressionSyntaxError(f"unsupported syntax {type(getattr(node, 'op', node)).__name__}")
 
 
 _ANSWER_MARKER = re.compile(r"the\s+final\s+answer\s+is\s*:?", re.IGNORECASE)

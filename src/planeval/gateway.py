@@ -267,27 +267,27 @@ class MockTransport:
         self,
         by_digest: Mapping[str, str] | None = None,
         by_prompt: Mapping[str, str] | None = None,
-        transcript: str | Path | None = None,
+        transcript: tuple[str | Path, bytes] | None = None,
     ):
         self._by_digest = dict(by_digest or {})
         self._by_prompt = dict(by_prompt or {})
-        self._transcript = transcript  # parsed into the maps at the first send
-        self._error: FormatError | None = None
+        # (path, bytes) of a transcript file, parsed into the maps at the first send
+        self._transcript = transcript
         self._calls = 0
         self._lock = threading.Lock()
 
     @classmethod
     def load(cls, path: str | Path) -> "MockTransport":
-        """A transport over the transcript file at `path`. The file is opened
-        here, so a missing or unreadable one fails at once; its lines are
-        parsed at the first send, so a run that sends nothing never parses
-        them, and a malformed line raises FormatError from every send."""
-        with open(path, "rb"):
-            pass
-        return cls(transcript=path)
+        """A transport over the transcript file at `path`. The file is read
+        here, once, so a missing or unreadable one fails at once; those bytes
+        are parsed at the first send, so a run that sends nothing never parses
+        them. They stay pending until they parse, so a malformed line raises
+        the same FormatError from every send."""
+        with open(path, "rb") as fh:
+            return cls(transcript=(path, fh.read()))
 
-    def _parse(self, path: str | Path) -> None:
-        for line_no, obj in read_jsonl(path):
+    def _parse(self, path: str | Path, data: bytes) -> None:
+        for line_no, obj in read_jsonl(path, data):
             if not isinstance(obj, dict) or "response_text" not in obj:
                 raise FormatError(f"no response_text in transcript {path}", line_no)
             keys = ("response_text", "prompt_digest", "prompt_text")
@@ -308,13 +308,8 @@ class MockTransport:
         with self._lock:
             self._calls += 1
             if self._transcript is not None:
-                path, self._transcript = self._transcript, None
-                try:
-                    self._parse(path)
-                except FormatError as exc:
-                    self._error = exc  # raised again by every later send
-        if self._error is not None:
-            raise self._error.with_traceback(None)
+                self._parse(*self._transcript)
+                self._transcript = None
         digest = request.digest
         if digest in self._by_digest:
             return ChatResponse(text=self._by_digest[digest])

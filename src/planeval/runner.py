@@ -220,12 +220,15 @@ def save_probe_results(results: Sequence[ProbeResult], path: Path) -> None:
 
 # The types of a record row's fields, matched exactly: a boolean is no number.
 _RECORD_TYPES = {"item_id": (str,), "condition": (str,), "solver_model": (str,),
-                 "planner_model": (str, type(None)), "score": (int, float), "step_count": (int,)}
+                 "planner_model": (str, type(None)), "score": (int, float), "step_count": (int,),
+                 "response_text": (str,), "plan_text": (str, type(None)), "flags": (list,)}
 
 
 def _record(obj, cells: set) -> EvalRecord:
-    obj = {"planner_model": None, **obj}
+    obj = {"planner_model": None, "response_text": "", "plan_text": None, "flags": [], **obj}
     check_types(obj, _RECORD_TYPES)
+    if any(type(flag) is not str for flag in obj["flags"]):
+        raise TypeError(f"flags is {obj['flags']!r}, not a list of str")
     if obj["step_count"] < 0:
         raise ValueError(f"step_count is {obj['step_count']}, below 0")
     r = EvalRecord(
@@ -235,9 +238,9 @@ def _record(obj, cells: set) -> EvalRecord:
         step_count=obj["step_count"],
         solver_model=obj["solver_model"],
         planner_model=obj["planner_model"],
-        response_text=obj.get("response_text", ""),
-        plan_text=obj.get("plan_text"),
-        flags=tuple(obj.get("flags", ())),
+        response_text=obj["response_text"],
+        plan_text=obj["plan_text"],
+        flags=tuple(obj["flags"]),
     )
     cell = (r.item_id, r.condition.value, r.solver_model, r.planner_model)
     if cell in cells:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpora import MathProblem, ToolTask
-from .jsonio import read_rows, write_json, write_jsonl
+from .jsonio import check_types, read_rows, write_json, write_jsonl
 from .planflow import Plan, has_answer_leak, render_call_sequence, render_prompt, template_hashes
 
 # Each sft_mode and the target kinds it writes per item, in file order. `all`
@@ -111,10 +111,12 @@ def serialize_sft(records: Sequence[SftRecord], path: str | Path) -> Path:
     return write_jsonl(path, map(vars, ordered))
 
 
+_SFT_TYPES = {name: (str,) for name in ("kind", "prompt", "target", "source_id")}
+
+
 def _sft_record(obj) -> SftRecord:
-    return SftRecord(
-        kind=obj["kind"], prompt=obj["prompt"], target=obj["target"], source_id=obj["source_id"]
-    )
+    check_types(obj, _SFT_TYPES)
+    return SftRecord(**{name: obj[name] for name in _SFT_TYPES})
 
 
 def load_sft(path: str | Path) -> list[SftRecord]:

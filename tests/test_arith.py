@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,9 +45,25 @@ def _random_tree(rng: random.Random, depth: int):
     return f"({left_s}{op}{right_s})", value
 
 
+_SPELLINGS = {"+": "+", "-": "-−–", "*": "*×", "/": "/÷", "(": "(", ")": ")"}
+
+
+def _render(rng: random.Random, expr: str) -> str:
+    """`expr` as an annotator might write it: random spaces, tabs and
+    newlines before each token, a random glyph per operator, and random
+    leading zeros on each integer."""
+
+    def token(m: re.Match) -> str:
+        tok = m.group(0)
+        tok = "0" * rng.randint(0, 2) + tok if tok.isdigit() else rng.choice(_SPELLINGS[tok])
+        return rng.choice(["", "", " ", "\t", "\n", " \xa0 "]) + tok
+
+    return re.sub(r"\d+|\D", token, expr)
+
+
 def _flat_chain_value(nums: list[int], ops: list[str]) -> Fraction:
     """Two-pass evaluation: fold * and / first, then + and -. Independent of
-    the recursive-descent parser."""
+    the expression grammar `eval_expr` parses with."""
     values = [Fraction(nums[0])]
     pending = []
     for op, num in zip(ops, nums[1:]):
@@ -109,13 +126,46 @@ def test_syntax_errors(bad):
 
 def test_matches_tree_oracle_on_random_expressions():
     rng = random.Random(1234)
+    render_rng = random.Random(4321)
     checked = 0
     while checked < 1000:
         expr, value = _random_tree(rng, depth=4)
         if value is None:
             continue
         assert eval_expr(expr) == value, expr
+        rendered = _render(render_rng, expr)
+        assert eval_expr(rendered) == value, rendered
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("007*2", 14),
+        ("00.5", Fraction(1, 2)),
+        ("5.", 5),
+        ("1.05*010", Fraction(21, 2)),
+        ("2**3", ExpressionSyntaxError),
+        ("8//2", ExpressionSyntaxError),
+        ("...", ExpressionSyntaxError),
+        ("()", ExpressionSyntaxError),
+        ("(1)(2)", ExpressionSyntaxError),
+        ("1e5", ExpressionSyntaxError),
+        ("1_000", ExpressionSyntaxError),
+        ("0x10", ExpressionSyntaxError),
+        ("٣", ExpressionSyntaxError),  # non-ASCII digits are not decimal literals
+        ("1/0+(", ExpressionSyntaxError),  # the whole text parses before any division
+        pytest.param("+".join(["1"] * 5000), ExpressionSyntaxError, id="5000-term-chain"),
+        pytest.param("(" * 300 + "1" + ")" * 300, ExpressionSyntaxError, id="300-nested-parentheses"),
+        pytest.param("-" * 5000 + "1", ExpressionSyntaxError, id="5000-unary-signs"),
+    ],
+)
+def test_python_grammar_edges(text, expected):
+    if expected is ExpressionSyntaxError:
+        with pytest.raises(ExpressionSyntaxError):  # never a RecursionError
+            eval_expr(text)
+    else:
+        assert eval_expr(text) == expected
 
 
 def test_matches_flat_chain_oracle():

@@ -180,7 +180,7 @@ def test_missing_transcript_fails_at_load(tmp_path):
 def test_transcript_is_parsed_once_at_the_first_send(tmp_path, model_spec, monkeypatch):
     path = write_transcript(tmp_path / "t.jsonl", [(f"P{i}", f"A{i}") for i in range(20)])
     parsed = []
-    monkeypatch.setattr(gateway_module, "read_jsonl", lambda p: parsed.append(p) or read_jsonl(p))
+    monkeypatch.setattr(gateway_module, "read_jsonl", lambda p, data: parsed.append(p) or read_jsonl(p, data))
     transport = MockTransport.load(path)
     assert parsed == []
     gw = Gateway(tmp_path / "c", transport=transport, max_in_flight=8)
@@ -188,6 +188,14 @@ def test_transcript_is_parsed_once_at_the_first_send(tmp_path, model_spec, monke
     assert texts == [f"A{i}" for i in range(20)]
     assert parsed == [path]
     assert transport.calls == 20
+
+
+def test_a_transcript_rewritten_after_load_is_not_the_one_parsed(tmp_path, model_spec):
+    path = write_transcript(tmp_path / "t.jsonl", [("P", "loaded")])
+    transport = MockTransport.load(path)
+    write_transcript(path, [("P", "rewritten")])
+    request = Gateway.build_request(model_spec, [user_message("P")])
+    assert transport.send(model_spec, request).text == "loaded"
 
 
 def test_map_raises_a_malformed_transcript_from_its_first_send(tmp_path, model_spec):

@@ -1413,7 +1413,9 @@ def test_no_command_opens_the_corpus_records_or_manifest_twice(tmp_path, open_co
         assert cli_dispatch(argv) == EXIT_OK, command
         opens = {name: open_counts[str(root / name)]
                  for name in ("corpus.jsonl", "out/records.jsonl", "out/manifest.json")}
+        opens["transcript"] = open_counts[str(transcript)]
         assert opens["corpus.jsonl"] == (command != "report"), (command, opens)
+        assert opens["transcript"] == (command not in ("validate", "report")), (command, opens)
         assert opens["out/records.jsonl"] <= 1 and opens["out/manifest.json"] <= 1, (command, opens)
 
 
@@ -1775,6 +1777,7 @@ def test_eval_on_an_unreadable_manifest_exits_2_before_any_model_call(math_run, 
 @pytest.mark.parametrize("field, value", [
     ("step_count", 2.5), ("step_count", -3), ("step_count", True), ("score", True),
     ("score", "1"), ("solver_model", 5), ("item_id", 7), ("condition", 1), ("planner_model", 5),
+    ("flags", "ab"), ("flags", [1]), ("response_text", 5), ("plan_text", ["x"]),
 ])
 def test_report_rejects_a_record_field_of_the_wrong_type_and_writes_nothing(
     math_run, capsys, field, value

@@ -148,6 +148,17 @@ def test_load_sft_bad_row_cites_its_line(tmp_path, math_corpus):
     assert "s.jsonl" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [("prompt", 5), ("target", ["t"]), ("source_id", 7)])
+def test_load_sft_rejects_a_field_that_is_not_a_string(tmp_path, math_corpus, field, value):
+    path = serialize_sft(build_sft_corpus(math_corpus, {}, mode="answer_only"), tmp_path / "s.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **{field: value})) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_sft(path)
+    assert err.value.line_no == 2 and field in str(err.value)
+
+
 def test_serialize_deterministic_order_and_bytes(tmp_path, math_corpus):
     plans = _plans_for(math_corpus)
     records = build_sft_corpus(math_corpus, plans, mode="all")
