@@ -12,7 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .gateway import Gateway, GatewayError, ModelSpec, user_message
 
@@ -93,10 +93,10 @@ def _value(node: ast.expr, text: str) -> Fraction:
 
 
 _ANSWER_MARKER = re.compile(r"the\s+final\s+answer\s+is\s*:?", re.IGNORECASE)
-# Comma-grouped form first so "1,350" is one token, then plain decimals.
-_ANSWER_NUMBER = re.compile(
-    r"[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[-+]?\.\d+"
-)
+# One unsigned number: comma-grouped digits first, so "1,350" is one token,
+# then plain digits, each with an optional fraction part, or a bare ".5".
+NUMBER_PATTERN = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+"
+_ANSWER_NUMBER = re.compile(rf"[-+]?(?:{NUMBER_PATTERN})")
 
 
 def parse_model_number(text: str) -> Fraction | None:
@@ -124,6 +124,17 @@ def parse_model_number(text: str) -> Fraction | None:
         return parse_decimal(token)
     except (ValueError, ZeroDivisionError):
         return None  # e.g. more digits than `int` converts
+
+
+def number_values(text: str) -> Iterator[Fraction]:
+    """The value of each signed number token in `text`, in order, read as
+    `parse_model_number` reads its answer; a token too long to convert is
+    left out."""
+    for token in _ANSWER_NUMBER.findall(text):
+        try:
+            yield parse_decimal(token)
+        except ValueError:
+            continue
 
 
 def within_tolerance(value: Fraction, reference: Fraction) -> bool:

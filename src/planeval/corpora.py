@@ -235,7 +235,6 @@ def extract_probes(problems: Sequence[MathProblem]) -> ProbeExtraction:
     """
     values: dict[str, Fraction] = {}
     sources: dict[str, list[str]] = {}
-    order: list[str] = []
     skipped: list[SkippedExpression] = []
     for problem in problems:
         for expr, _ in problem.calc_annotations:
@@ -251,10 +250,9 @@ def extract_probes(problems: Sequence[MathProblem]) -> ProbeExtraction:
                 continue
             values[norm] = value
             sources[norm] = [problem.id]
-            order.append(norm)
     probes = tuple(
-        ArithmeticProbe(expression=e, exact_value=values[e], source_ids=tuple(sources[e]))
-        for e in order
+        ArithmeticProbe(expression=e, exact_value=value, source_ids=tuple(sources[e]))
+        for e, value in values.items()
     )
     return ProbeExtraction(probes=probes, skipped=tuple(skipped))
 

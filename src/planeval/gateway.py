@@ -246,13 +246,14 @@ class HttpTransport:
             data = json.loads(raw)
             choice = data["choices"][0]
             text = choice["message"]["content"]
-            finish = choice.get("finish_reason") or "stop"
+            finish = choice.get("finish_reason")
             usage = data.get("usage") or {}
-            check_types({"content": text, "usage": usage},
-                        {"content": (str, type(None)), "usage": (dict,)})
+            check_types({"content": text, "finish_reason": finish, "usage": usage},
+                        {"content": (str, type(None)), "finish_reason": (str, type(None)),
+                         "usage": (dict,)})
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ApiError(status, raw.decode("utf-8", errors="replace")) from exc
-        return ChatResponse(text=text or "", finish_reason=finish, token_usage=usage)
+        return ChatResponse(text=text or "", finish_reason=finish or "stop", token_usage=usage)
 
 
 class MockTransport:

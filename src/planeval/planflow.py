@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .arith import parse_model_number
+from .arith import NUMBER_PATTERN, number_values, parse_model_number
 from .corpora import MathProblem, ToolCall, ToolTask
 from .gateway import Gateway, GatewayError, ModelSpec, user_message
 from .scoring import Condition, EvalRecord, check_math_answer, tool_sequence_score
@@ -83,12 +83,11 @@ def template_hashes() -> dict[str, str]:
 @dataclass(frozen=True)
 class Plan:
     """Round1 output: an abstract arranging outline, free of explicit
-    expressions or parameter values. Lint flags are advisory only."""
+    expressions or parameter values; `lint_plan` checks that it is."""
 
     item_id: str
     generator_model: str
     text: str
-    lint_flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -154,24 +153,17 @@ def parse_tool_response(text: str) -> tuple[tuple[ToolCall, ...], int]:
     return tuple(calls), skipped
 
 
-_ARITH_EQ_RE = re.compile(
-    r"\d+(?:\.\d+)?(?:\s*[+\-*/×÷−]\s*\d+(?:\.\d+)?)+\s*="
-)
+_OPERAND = f"(?:{NUMBER_PATTERN})"
+_ARITH_EQ_RE = re.compile(rf"{_OPERAND}(?:\s*[+\-*/×÷−]\s*{_OPERAND})+\s*=")
 _PARAM_PAIR_RE = re.compile(r"\b[A-Za-z_]\w*\s*=\s*\S")
 _IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 _CALLED_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 
 
-def _format_gold_number(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return str(float(value))
-
-
 def has_answer_leak(text: str, gold_answer: Fraction) -> bool:
-    """True when the gold answer appears as a standalone number."""
-    token = re.escape(_format_gold_number(gold_answer))
-    return re.search(rf"(?<!\d)(?<!\d\.){token}(?!\.?\d)", text) is not None
+    """True when a number in `text`, read as an answer is read, has the gold
+    answer as its value or its absolute value ("pages 1-7" leaks 7)."""
+    return any(gold_answer in (value, abs(value)) for value in number_values(text))
 
 
 def _lint_math(text: str, item: MathProblem) -> list[str]:
@@ -202,13 +194,9 @@ def _lint_tool(text: str, item: ToolTask) -> list[str]:
 def lint_plan(plan: Plan, item: MathProblem | ToolTask) -> list[str]:
     """Advisory checks that the plan stays abstract: no worked arithmetic or
     leaked answers for math, no unknown APIs or bound parameters for tools."""
-    return _lint_text(plan.text, item)
-
-
-def _lint_text(text: str, item: MathProblem | ToolTask) -> list[str]:
     if isinstance(item, MathProblem):
-        return _lint_math(text, item)
-    return _lint_tool(text, item)
+        return _lint_math(plan.text, item)
+    return _lint_tool(plan.text, item)
 
 
 def _grade_math(response_text: str, item: MathProblem) -> tuple[float, tuple[str, ...]]:
@@ -279,13 +267,7 @@ def generate_plan(gateway: Gateway, model: ModelSpec, item: MathProblem | ToolTa
     """Round1: ask for an abstract solving outline. The response text is the
     plan verbatim, with no post-processing."""
     exchange = gateway.complete(model, [user_message(render_prompt("plan", item))])
-    text = exchange.response.text
-    return Plan(
-        item_id=item.id,
-        generator_model=model.name,
-        text=text,
-        lint_flags=tuple(_lint_text(text, item)),
-    )
+    return Plan(item_id=item.id, generator_model=model.name, text=exchange.response.text)
 
 
 def solve_with_plan(

@@ -35,6 +35,7 @@ from .planflow import (
     Plan,
     expand_matrix,
     generate_plans,
+    lint_plan,
     run_condition_matrix,
     template_hashes,
 )
@@ -133,43 +134,43 @@ class RunConfig:
                     raise TypeError(f"{key} is {v[key]!r}, not a list of str")
                 v[key] = tuple(v[key])
             v["models"] = tuple(ModelSpec(**m) for m in v["models"])
+            del v["description"]
+            for key in ("corpus", "cache_dir", "output_dir"):
+                v[key] = path.parent / v[key]
+            cfg = cls(**v, config_hash=digest)
+            if cfg.task not in ("math", "tools"):
+                raise ValueError(f"unknown task {cfg.task!r}")
+            if not cfg.models:
+                raise ValueError("at least one model required")
+            names = {m.name for m in cfg.models}
+            if len(names) != len(cfg.models):
+                raise ValueError("duplicate model names")
+            for kind, values in (("planner", cfg.planners), ("condition", cfg.conditions)):
+                repeated = sorted({x for x in values if values.count(x) > 1})
+                if repeated:
+                    raise ValueError(f"repeated {kind}: {', '.join(repeated)}")
+            for p in cfg.planners:
+                if p not in names:
+                    raise ValueError(f"planner {p!r} not among declared models")
+            for cond in cfg.conditions:
+                if cond not in {c.value for c in Condition}:
+                    raise ValueError(f"unknown condition {cond!r}")
+            if Condition.CROSS_MODEL_PLAN.value in cfg.conditions and not cfg.planners:
+                raise ValueError("cross_model_plan requires a planners list")
+            if cfg.teacher_model is not None and cfg.teacher_model not in names:
+                raise ValueError(f"teacher model {cfg.teacher_model!r} not declared")
+            if cfg.sft_mode not in sftgen.MODES:
+                raise ValueError(
+                    f"unknown sft_mode {cfg.sft_mode!r}, expected one of {tuple(sftgen.MODES)}"
+                )
+            if cfg.concurrency < 1:
+                raise ValueError("concurrency must be >= 1")
+            if cfg.seed < 0:
+                raise ValueError("seed must be >= 0")
         except KeyError as exc:
             raise ConfigError(f"config {path}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-        del v["description"]
-        for key in ("corpus", "cache_dir", "output_dir"):
-            v[key] = path.parent / v[key]
-        cfg = cls(**v, config_hash=digest)
-        if cfg.task not in ("math", "tools"):
-            raise ConfigError(f"unknown task {cfg.task!r}")
-        if not cfg.models:
-            raise ConfigError("at least one model required")
-        names = {m.name for m in cfg.models}
-        if len(names) != len(cfg.models):
-            raise ConfigError("duplicate model names")
-        for kind, values in (("planner", cfg.planners), ("condition", cfg.conditions)):
-            repeated = sorted({x for x in values if values.count(x) > 1})
-            if repeated:
-                raise ConfigError(f"repeated {kind}: {', '.join(repeated)}")
-        for p in cfg.planners:
-            if p not in names:
-                raise ConfigError(f"planner {p!r} not among declared models")
-        for cond in cfg.conditions:
-            if cond not in {c.value for c in Condition}:
-                raise ConfigError(f"unknown condition {cond!r}")
-        if Condition.CROSS_MODEL_PLAN.value in cfg.conditions and not cfg.planners:
-            raise ConfigError("cross_model_plan requires a planners list")
-        if cfg.teacher_model is not None and cfg.teacher_model not in names:
-            raise ConfigError(f"teacher model {cfg.teacher_model!r} not declared")
-        if cfg.sft_mode not in sftgen.MODES:
-            raise ConfigError(
-                f"unknown sft_mode {cfg.sft_mode!r}, expected one of {tuple(sftgen.MODES)}"
-            )
-        if cfg.concurrency < 1:
-            raise ConfigError("concurrency must be >= 1")
-        if cfg.seed < 0:
-            raise ConfigError("seed must be >= 0")
         return cfg
 
     @property
@@ -667,9 +668,13 @@ def _report_plan_failures(results: Mapping) -> int:
 
 
 def _cmd_plan(config: RunConfig, out: Path, args, found: dict) -> tuple[int, dict]:
+    """Write each Round1 plan to `plans.jsonl` with the `lint_plan` flags of its text."""
     corpus, corpus_hash = _load_corpus(config)
     results = generate_plans(_gateway(config, args), config.planner_specs or config.models, corpus)
-    write_jsonl(out / "plans.jsonl", (vars(p) for p in results.values() if isinstance(p, Plan)))
+    items = {item.id: item for item in corpus}
+    rows = ({**vars(p), "lint_flags": lint_plan(p, items[p.item_id])}
+            for p in results.values() if isinstance(p, Plan))
+    write_jsonl(out / "plans.jsonl", rows)
     code = EXIT_PARTIAL if _report_plan_failures(results) else EXIT_OK
     return code, build_manifest(config, corpus_hash, len(corpus))
 

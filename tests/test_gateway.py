@@ -460,10 +460,12 @@ def test_mock_runs_are_bit_reproducible(tmp_path, model_spec):
     assert texts[0] == texts[1]
 
 
-def _success_body(content="pong", usage=None) -> bytes:
-    """A 200 body of the chat-completions format with `content` and `usage`."""
+def _success_body(content="pong", usage=None, finish_reason="stop") -> bytes:
+    """A 200 body of the chat-completions format with `content`, `usage` and
+    `finish_reason`."""
     return json.dumps(
-        {"choices": [{"message": {"content": content}, "finish_reason": "stop"}], "usage": usage}
+        {"choices": [{"message": {"content": content}, "finish_reason": finish_reason}],
+         "usage": usage}
     ).encode()
 
 
@@ -632,7 +634,10 @@ def test_server_stalling_past_timeout_raises_transport_error(tmp_path, stub_serv
     _success_body(content=5),
     _success_body(usage=[3]),
     _success_body(usage="3 tokens"),
-], ids=["not-json", "content-list", "content-number", "usage-list", "usage-string"])
+    _success_body(finish_reason=5),
+    _success_body(finish_reason=["stop"]),
+], ids=["not-json", "content-list", "content-number", "usage-list", "usage-string",
+        "finish-reason-number", "finish-reason-list"])
 def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_server, body):
     url, handler = stub_server([body])
     spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
@@ -642,6 +647,14 @@ def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_
     assert err.value.body == body.decode()
     assert handler.hits == 1  # a 2xx is not retried
     assert not list((tmp_path / "c").glob("*/*.json"))  # nor cached
+
+
+def test_null_finish_reason_reads_stop_and_nested_usage_is_kept(tmp_path, stub_server):
+    usage = {"total_tokens": 3, "prompt_tokens_details": {"cached_tokens": 0}}
+    url, _ = stub_server([_success_body(usage=usage, finish_reason=None)])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
+    response = _live_gateway(tmp_path).complete(spec, [user_message("ping")]).response
+    assert (response.text, response.finish_reason, response.token_usage) == ("pong", "stop", usage)
 
 
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from planeval.planflow import (
     RenderError,
     TEMPLATE_NAMES,
     generate_plan,
+    has_answer_leak,
     lint_plan,
     load_template,
     parse_tool_response,
@@ -179,6 +183,51 @@ def test_lint_answer_leak_requires_standalone_number():
     assert "answer_leak" not in lint_plan(plan, _math_item(gold=42))
 
 
+@pytest.mark.parametrize("text, gold, leak", [
+    ("so the total is 1,000 dollars", 1000, True),
+    ("$1,350 in all", 1350, True),
+    ("it costs 2.50 each", Fraction(5, 2), True),
+    ("costs 42.0 dollars", 42, True),
+    (".5 of it", Fraction(1, 2), True),
+    ("pages 1-7", 7, True),
+    ("-7 degrees", -7, True),
+    ("7 degrees", -7, False),
+    ("7,000 boxes", 7, False),
+    ("1,350 apples", 350, False),
+    ("consider 1420 items and 4.2 ratios", 42, False),
+])
+def test_answer_leak_reads_numbers_as_answers_are_read(text, gold, leak):
+    assert has_answer_leak(text, Fraction(gold)) is leak
+
+
+def test_answer_leak_skips_a_number_too_long_to_read():
+    assert not has_answer_leak("9" * 5000 + " crates", Fraction(9))
+    assert has_answer_leak("9" * 5000 + " crates, 9 left", Fraction(9))
+
+
+def test_lint_flags_arithmetic_on_grouped_digits():
+    plan = _plan("add 1,200 + 1,300 = 2,500")
+    assert lint_plan(plan, _math_item(gold=999)) == ["explicit_arithmetic"]
+
+
+# Worked arithmetic written with plain decimal operands only.
+_PLAIN_ARITHMETIC = re.compile(r"\d+(?:\.\d+)?(?:\s*[+\-*/×÷−]\s*\d+(?:\.\d+)?)+\s*=")
+
+
+def test_lint_flags_every_plain_decimal_equation():
+    rng = random.Random(7)
+    alphabet = "0123456789,.+-*/×÷− =ab"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16))) for _ in range(20000)]
+    plain = [t for t in texts if _PLAIN_ARITHMETIC.search(t)]
+    assert len(plain) > 400
+    item = _math_item(gold=Fraction(1, 3))  # no text here writes 1/3 as a number
+    assert all(lint_plan(_plan(t), item) == ["explicit_arithmetic"] for t in plain)
+
+
+def test_plan_is_the_bare_round1_text():
+    assert [f.name for f in dataclasses.fields(Plan)] == ["item_id", "generator_model", "text"]
+
+
 def test_lint_tool_unknown_api(tmp_path):
     (task, *_rest) = build_tool_corpus(tmp_path / "t.jsonl", count=1)
     plan = _plan("call getWeather then search_flights", item_id=task.id)
@@ -233,6 +282,20 @@ def test_solve_direct_unparseable_flags(math_setup, model_spec):
     record = solve_direct(gateway, model_spec, problems[1])
     assert record.score == 0.0
     assert "unparseable_response" in record.flags
+
+
+def test_tool_answer_scores_its_parsed_lines_and_flags_the_rest(tmp_path, mock_gateway_factory,
+                                                                model_spec):
+    first, second = build_tool_corpus(tmp_path / "t.jsonl", count=2)
+    junk = render_call_sequence(first.gold_calls) + "\nnow I will call them all"
+    gateway, _ = mock_gateway_factory([
+        (render_prompt("direct", first), junk),
+        (render_prompt("direct", second), "step1: search_flights(origin=x)\nno calls today"),
+    ])
+    parsed = solve_direct(gateway, model_spec, first)
+    assert (parsed.score, parsed.flags) == (1.0, ("skipped_lines:1",))
+    unparsed = solve_direct(gateway, model_spec, second)
+    assert (unparsed.score, unparsed.flags) == (0.0, ("skipped_lines:2", "unparseable_response"))
 
 
 def test_generate_plan_verbatim(math_setup, model_spec):

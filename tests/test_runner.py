@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from helpers import (
     tool_transcript_entries,
     write_gsm8k_file,
 )
+import planeval.planflow as planflow_module
 import planeval.runner as runner_module
 import planeval.sftgen as sftgen_module
 from planeval.arith import PROBE_PROMPT
@@ -195,7 +197,7 @@ def test_repeated_planner_or_condition_exits_2_before_any_model_call(math_run, c
         RunConfig.load(config)
     assert cli_dispatch(["eval-math", "--config", str(config), "--mock", str(transcript)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: repeated ")
+    assert len(err) == 1 and err[0].startswith(f"error: config {config}: repeated ")
     assert not (tmp_path / "cache").exists()
 
 
@@ -206,7 +208,7 @@ def test_unknown_sft_mode_exits_2_with_one_line(tmp_path, capsys):
         RunConfig.load(config)
     assert cli_dispatch(["build-sft", "--config", str(config)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: unknown sft_mode 'plan-only'")
+    assert len(err) == 1 and err[0].startswith(f"error: config {config}: unknown sft_mode 'plan-only'")
     assert not (tmp_path / "out").exists()
 
 
@@ -221,6 +223,57 @@ def test_negative_seed_rejected_before_any_model_call(math_run):
     assert cli_dispatch(argv + ["--config", str(negative)]) == EXIT_CONFIG
     assert not (tmp_path / "cache").exists()
     assert not (tmp_path / "out").exists()
+
+
+# Configs that break a rule across keys: the overrides and the rule's message.
+_BROKEN_RULES = {
+    "unknown-task": ({"task": "chess"}, "unknown task 'chess'"),
+    "no-models": ({"models": []}, "at least one model required"),
+    "duplicate-models": ({"models": [MODEL, MODEL]}, "duplicate model names"),
+    "undeclared-teacher": ({"teacher_model": "ghost"}, "teacher model 'ghost' not declared"),
+    "zero-concurrency": ({"concurrency": 0}, "concurrency must be >= 1"),
+}
+
+
+def _rejection(tmp_path, case) -> tuple[list[str], str]:
+    """The argv of a run that a config or CLI rule rejects, and its error line."""
+    corpus = tmp_path / "corpus.jsonl"
+    build_math_corpus(corpus, count=2)
+    transcript = write_transcript(tmp_path / "t.jsonl", [])
+    config = tmp_path / "config.json"
+    if case in _BROKEN_RULES:
+        overrides, message = _BROKEN_RULES[case]
+        write_config(tmp_path, corpus, **overrides)
+        return ["validate", "--config", str(config)], f"error: config {config}: {message}"
+    if case == "missing-config":
+        return ["validate", "--config", str(config)], f"error: config file not found: {config}"
+    if case == "sft-without-teacher":
+        write_config(tmp_path, corpus, sft_mode="plan_only")
+        argv = ["build-sft", "--config", str(config), "--mock", str(transcript)]
+        return argv, "error: build-sft needs teacher_model in config"
+    if case == "no-probes":
+        write_gsm8k_file(corpus, [{"id": "q0", "question": "How many?", "answer": "Count.\n#### 5"}])
+        write_config(tmp_path, corpus)
+        argv = ["probe", "--config", str(config), "--mock", str(transcript)]
+        return argv, "error: no usable probes in corpus"
+    points = tmp_path / "points"
+    points.mkdir()
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(points)!r}"
+    return ["fit", "--points", str(points)], f"error: cannot read points file: {reason}"
+
+
+@pytest.mark.parametrize(
+    "case", [*_BROKEN_RULES, "missing-config", "sft-without-teacher", "no-probes", "fit-directory"]
+)
+def test_a_rejected_config_or_flag_exits_2_with_one_error_line_and_writes_nothing(
+    tmp_path, capsys, case
+):
+    argv, line = _rejection(tmp_path, case)
+    before = _files(tmp_path)
+    assert cli_dispatch(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+    assert _files(tmp_path) == before
 
 
 _JSON_TYPE_NAMES = {str: "string", int: "integer", list: "array", dict: "object", type(None): "null"}
@@ -631,6 +684,45 @@ def test_cli_plan_writes_plans_file(math_run):
     assert all(set(l) == {"item_id", "generator_model", "text", "lint_flags"} for l in lines)
 
 
+def test_cli_plan_writes_the_lint_flags_of_each_plan(tmp_path):
+    problems = build_math_corpus(tmp_path / "corpus.jsonl", count=2)
+    texts = ["add 1,200 + 1,300 = 2,500", f"so it ends at {gold_number(problems[1])}.0 boxes"]
+    transcript = write_transcript(
+        tmp_path / "t.jsonl", [(render_prompt("plan", p), t) for p, t in zip(problems, texts)]
+    )
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl")
+    assert cli_dispatch(["plan", "--config", str(config), "--mock", str(transcript)]) == EXIT_OK
+    rows = [json.loads(l) for l in (tmp_path / "out" / "plans.jsonl").read_text().splitlines()]
+    assert [(r["text"], r["lint_flags"]) for r in rows] == [
+        (texts[0], ["explicit_arithmetic"]), (texts[1], ["answer_leak"])
+    ]
+
+
+def test_eval_and_build_sft_make_no_plan_lint_call(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("plan lint called")
+
+    for module, name in ((planflow_module, "lint_plan"), (planflow_module, "_lint_math"),
+                         (planflow_module, "_lint_tool"), (runner_module, "lint_plan")):
+        monkeypatch.setattr(module, name, refuse)
+    math_dir, tools_dir = tmp_path / "math", tmp_path / "tools"
+    problems = build_math_corpus(math_dir / "corpus.jsonl", count=4)
+    tasks = build_tool_corpus(tools_dir / "corpus.jsonl", count=4)
+    conditions = ["direct_cot", "plan_augmented"]
+    runs = []
+    for directory, task, entries in ((math_dir, "math", math_transcript_entries(problems)),
+                                     (tools_dir, "tools", tool_transcript_entries(tasks))):
+        transcript = write_transcript(directory / "t.jsonl", entries)
+        config = write_config(directory, directory / "corpus.jsonl", task=task,
+                              conditions=conditions, teacher_model=MODEL["name"])
+        runs.append(["--config", str(config), "--mock", str(transcript)])
+    assert cli_dispatch(["eval-math", *runs[0]]) == EXIT_OK
+    assert cli_dispatch(["build-sft", *runs[0], "--out", str(math_dir / "sft")]) == EXIT_OK
+    assert cli_dispatch(["eval-tools", *runs[1]]) == EXIT_OK
+    with pytest.raises(AssertionError, match="plan lint called"):
+        cli_dispatch(["plan", *runs[0]])
+
+
 def test_cli_fit_on_expected_execution_points(tmp_path, capsys):
     # On this pairing the best line narrowly beats the best power curve in
     # y-space; the CLI must report that honestly.
@@ -769,6 +861,25 @@ def test_cli_build_sft_answer_leak_exits_2(tmp_path, capsys):
     leaky = problems[1]
     entries = [(render_prompt("plan", p), _teacher_plan(p)) for p in problems if p is not leaky]
     entries.append((render_prompt("plan", leaky), f"Add up the phases to reach {gold_number(leaky)}."))
+    transcript = write_transcript(tmp_path / "t.jsonl", entries)
+    config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
+    code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: gold answer leaked into plan targets: {[leaky.id]}"]
+    assert not (tmp_path / "out" / "sft_corpus.jsonl").exists()
+
+
+def test_cli_build_sft_reads_a_grouped_gold_answer_in_a_plan_as_a_leak(tmp_path, capsys):
+    lines = make_math_lines(2) + [{
+        "id": "g-big", "question": "A depot holds 1,000 crates and gets 350 more. How many now?",
+        "answer": "1000 + 350 = <<1000+350=1350>>1350 crates.\n#### 1350",
+    }]
+    problems = load_gsm8k(write_gsm8k_file(tmp_path / "corpus.jsonl", lines))
+    leaky = problems[-1]
+    assert leaky.gold_answer == 1350
+    entries = [(render_prompt("plan", p), _teacher_plan(p)) for p in problems if p is not leaky]
+    entries.append((render_prompt("plan", leaky), "Add the delivery to the stock: 1,350."))
     transcript = write_transcript(tmp_path / "t.jsonl", entries)
     config = write_config(tmp_path, tmp_path / "corpus.jsonl", teacher_model="mock-model")
     code = cli_dispatch(["build-sft", "--config", str(config), "--mock", str(transcript)])

@@ -102,7 +102,7 @@ def test_unknown_mode_names_the_modes_in_both_error_texts(tmp_path, math_corpus)
                                   "api_key_env": "", "max_tokens": 8}], "sft_mode": "plan-only"}))
     with pytest.raises(ConfigError) as err:
         RunConfig.load(config)
-    assert str(err.value) == f"unknown sft_mode 'plan-only', expected one of {modes}"
+    assert str(err.value) == f"config {config}: unknown sft_mode 'plan-only', expected one of {modes}"
 
 
 def test_tool_targets_use_call_grammar(tmp_path):
