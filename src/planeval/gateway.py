@@ -120,7 +120,12 @@ class ChatRequest:
 class ChatResponse:
     text: str
     finish_reason: str = "stop"
-    token_usage: Mapping[str, int] = field(default_factory=dict)
+    token_usage: dict = field(default_factory=dict)  # the provider's counts, possibly nested
+    # The JSON types of the fields above, matched exactly; what `token_usage` holds is unchecked.
+    TYPES = {"text": (str,), "finish_reason": (str,), "token_usage": (dict,)}
+
+    def __post_init__(self) -> None:
+        check_types(vars(self), self.TYPES)
 
 
 @dataclass(frozen=True)
@@ -247,13 +252,12 @@ class HttpTransport:
             choice = data["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason")
-            usage = data.get("usage") or {}
-            check_types({"content": text, "finish_reason": finish, "usage": usage},
-                        {"content": (str, type(None)), "finish_reason": (str, type(None)),
-                         "usage": (dict,)})
+            usage = data.get("usage")
+            return ChatResponse(text="" if text is None else text,
+                                finish_reason="stop" if finish in (None, "") else finish,
+                                token_usage={} if usage is None else usage)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ApiError(status, raw.decode("utf-8", errors="replace")) from exc
-        return ChatResponse(text=text or "", finish_reason=finish or "stop", token_usage=usage)
 
 
 class MockTransport:
@@ -501,23 +505,17 @@ class Gateway:
                 os.close(fd)
             # The decode `json.loads` makes of bytes, without its encoding sniff.
             entry = json.loads(raw.decode("utf-8", "surrogatepass"))
-            resp, retries = entry["response"], entry["retry_count"]
-            text = resp["text"]
+            response, retries = ChatResponse(**entry["response"]), entry["retry_count"]
         except (OSError, ValueError, KeyError, TypeError):
-            return None  # missing, unreadable or corrupt entry: treat as a miss
-        if not (isinstance(text, str) and text and type(retries) is int):
-            return None  # wrongly shaped entry: a miss, so it is sent and rewritten
-        response = ChatResponse(text, resp.get("finish_reason", "stop"), resp.get("token_usage", {}))
+            return None  # missing, unreadable, corrupt or wrongly shaped entry: a miss
+        if not (response.text and type(retries) is int):
+            return None  # a miss too, so it is sent and rewritten
         return ChatExchange(request, response, request.digest, retries, cache_hit=True)
 
     def _write_cache(self, request: ChatRequest, response: ChatResponse, retries: int) -> None:
         entry = {
             "request": _request_payload(request),
-            "response": {
-                "text": response.text,
-                "finish_reason": response.finish_reason,
-                "token_usage": dict(response.token_usage),
-            },
+            "response": vars(response),
             "timestamp": time.time(),
             "retry_count": retries,
         }

@@ -344,12 +344,13 @@ def summarize(
                 f"below planner {planner}; guidance expected only for weaker solvers"
             )
 
-    fit = None
     fit_points = [
         (exe, plan) for _, _, exe, _, _, plan in rows if exe and plan and exe > 0 and plan > 0
     ]
-    if len(fit_points) >= 3 and len({x for x, _ in fit_points}) > 1:
+    try:
         fit = fit_power_and_linear(fit_points)
+    except DegenerateInput:
+        fit = None
 
     return (
         partial(models_section, rows),
@@ -702,8 +703,6 @@ def _cmd_fit(args) -> int:
             points.append((x, y))
     except OSError as exc:
         raise ConfigError(f"cannot read points file: {exc}") from exc
-    if len(points) < 3:
-        raise ConfigError(f"{path}: need at least 3 points, got {len(points)}")
     try:
         section = fit_section(fit_power_and_linear(points))
     except DegenerateInput as exc:

@@ -31,7 +31,7 @@ class DomainError(ValueError):
 
 
 class DegenerateInput(ValueError):
-    """Too few or collinear-degenerate points for fitting."""
+    """Too few points to fit, or x or y values that do not vary."""
 
 
 class MisalignedRecords(ValueError):
@@ -141,11 +141,13 @@ def fit_power_and_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     """Least-squares power fit on (ln x, ln y) and ordinary least-squares
     linear fit, residual sums compared in original y-space."""
     if len(points) < 3:
-        raise DegenerateInput("need at least 3 points")
+        raise DegenerateInput(f"need at least 3 points, got {len(points)}")
     xs = np.asarray([p[0] for p in points], dtype=float)
     ys = np.asarray([p[1] for p in points], dtype=float)
     if np.all(xs == xs[0]):
         raise DegenerateInput("all x values identical")
+    if np.all(ys == ys[0]):
+        raise DegenerateInput("all y values identical")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DomainError("power fit requires strictly positive x and y")
 
@@ -156,11 +158,8 @@ def fit_power_and_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     sse_power = float(np.sum((ys - c * xs ** a) ** 2))
     sse_linear = float(np.sum((ys - (b0 + b1 * xs)) ** 2))
     sst = float(np.sum((ys - ys.mean()) ** 2))
-
-    def r2(sse: float) -> float:
-        if sst > 0:
-            return 1.0 - sse / sst
-        return 1.0 if sse == 0 else 0.0
+    if sst == 0:  # distinct y values whose squared spread underflows
+        raise DegenerateInput("y values too close together to fit")
 
     return FitResult(
         c=c,
@@ -169,8 +168,8 @@ def fit_power_and_linear(points: Sequence[tuple[float, float]]) -> FitResult:
         b1=float(b1),
         sse_power=sse_power,
         sse_linear=sse_linear,
-        r2_power=r2(sse_power),
-        r2_linear=r2(sse_linear),
+        r2_power=1.0 - sse_power / sst,
+        r2_linear=1.0 - sse_linear / sst,
     )
 
 

@@ -10,6 +10,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -297,8 +298,12 @@ def test_cache_layout_and_content(tmp_path, model_spec, monkeypatch):
         {"response": "x"},
         {"response": {"text": "stale"}, "retry_count": None},
         {"response": {"text": 5}, "retry_count": 0},
+        {"response": {"text": "stale", "finish_reason": 5}, "retry_count": 0},
+        {"response": {"text": "stale", "token_usage": "x"}, "retry_count": 0},
+        {"response": {"text": "stale", "extra": 1}, "retry_count": 0},
     ],
-    ids=["null", "list", "string-response", "null-retry-count", "non-string-text"],
+    ids=["null", "list", "string-response", "null-retry-count", "non-string-text",
+         "finish-reason-number", "token-usage-string", "unknown-response-key"],
 )
 def test_wrongly_shaped_cache_entry_is_sent_once_and_rewritten(tmp_path, model_spec, entry):
     transport = MockTransport(by_prompt={"P": "42"})
@@ -310,6 +315,27 @@ def test_wrongly_shaped_cache_entry_is_sent_once_and_rewritten(tmp_path, model_s
     assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "42"
     replayed = gw.complete(model_spec, [user_message("P")])
     assert replayed.cache_hit and replayed.response.text == "42" and transport.calls == 2
+
+
+def test_cache_entry_without_finish_reason_or_usage_replays_their_defaults(tmp_path, model_spec):
+    transport = MockTransport(by_prompt={"P": "42"})
+    gw = Gateway(tmp_path / "c", transport=transport)
+    path = gw.cache_path(gw.complete(model_spec, [user_message("P")]).digest)
+    path.write_text(json.dumps({"response": {"text": "stale"}, "retry_count": 0}), encoding="utf-8")
+    replayed = gw.complete(model_spec, [user_message("P")])
+    assert replayed.cache_hit and transport.calls == 1
+    assert replayed.response == ChatResponse("stale", "stop", {})
+
+
+def test_cache_entry_response_is_the_answer_as_received(tmp_path, stub_server):
+    usage = {"total_tokens": 3, "prompt_tokens_details": {"cached_tokens": 0}}
+    url, _ = stub_server([_success_body(usage=usage, finish_reason="length")])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
+    gw = _live_gateway(tmp_path)
+    exchange = gw.complete(spec, [user_message("ping")])
+    entry = json.loads(gw.cache_path(exchange.digest).read_text(encoding="utf-8"))
+    assert entry["response"] == {"text": "pong", "finish_reason": "length", "token_usage": usage}
+    assert gw.complete(spec, [user_message("ping")]) == replace(exchange, cache_hit=True)
 
 
 def test_concurrent_distinct_requests_produce_uncorrupted_entries(tmp_path, model_spec):
@@ -472,8 +498,8 @@ def _success_body(content="pong", usage=None, finish_reason="stop") -> bytes:
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each request by the next script step: an HTTP status (a 3xx
     points at `location`), "stall" (a 200 sent after the client's timeout),
-    bytes (a 200 with that body) or "retry-after" (a 503 advising a 2 s
-    wait)."""
+    bytes (a 200 with that body), "retry-after" (a 503 advising a 2 s
+    wait) or "cut-short" (a 500 whose body ends before its Content-Length)."""
 
     script: list[int | str | bytes] = []
     location = ""
@@ -487,12 +513,14 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         cls.hits += 1
         length = int(self.headers.get("Content-Length", 0))
         cls.last_headers, cls.last_body = self.headers, self.rfile.read(length)
-        extra = {}
+        extra, length = {}, None
         if status == "stall":
             time.sleep(1.0)
             status = 200
         if status == "retry-after":
             status, extra = 503, {"Retry-After": "2"}
+        if status == "cut-short":
+            status, length = 500, 1000
         if isinstance(status, bytes):
             status, body = 200, status
         elif 300 <= status < 400:
@@ -503,7 +531,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             body = b'{"error": "scripted"}'
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(length or len(body)))
         for name, value in extra.items():
             self.send_header(name, value)
         self.end_headers()
@@ -553,6 +581,15 @@ def test_client_error_is_not_retried(tmp_path, stub_server):
         gw.complete(spec, [user_message("ping")])
     assert err.value.status == 400
     assert "scripted" in err.value.body
+    assert handler.hits == 1
+
+
+def test_error_body_cut_short_is_an_api_error_with_an_empty_body(tmp_path, stub_server):
+    url, handler = stub_server(["cut-short"])
+    spec = ModelSpec(name="live", endpoint_url=url, timeout=5)
+    with pytest.raises(ApiError) as err:
+        _live_gateway(tmp_path, attempts=1).complete(spec, [user_message("ping")])
+    assert (err.value.status, err.value.body) == (500, "")
     assert handler.hits == 1
 
 
@@ -636,8 +673,9 @@ def test_server_stalling_past_timeout_raises_transport_error(tmp_path, stub_serv
     _success_body(usage="3 tokens"),
     _success_body(finish_reason=5),
     _success_body(finish_reason=["stop"]),
+    _success_body(usage=[]),
 ], ids=["not-json", "content-list", "content-number", "usage-list", "usage-string",
-        "finish-reason-number", "finish-reason-list"])
+        "finish-reason-number", "finish-reason-list", "usage-empty-list"])
 def test_malformed_success_body_raises_api_error_with_its_status(tmp_path, stub_server, body):
     url, handler = stub_server([body])
     spec = ModelSpec(name="live", endpoint_url=url, timeout=5)

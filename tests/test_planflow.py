@@ -127,6 +127,12 @@ def test_parse_tool_response_skips_bad_lines():
     assert skipped == 2
 
 
+def test_parse_tool_response_passes_over_blank_lines_without_counting_them():
+    parsed, skipped = parse_tool_response("step1: [func]a(x=1)[/func]\n\n   \nstep2: [func]b()[/func]")
+    assert [c.name for c in parsed] == ["a", "b"]
+    assert skipped == 0
+
+
 def test_parse_tool_response_rejects_duplicate_keys():
     parsed, skipped = parse_tool_response("step1: [func]f(a=1, a=2)[/func]")
     assert parsed == ()

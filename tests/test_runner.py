@@ -773,8 +773,9 @@ def test_cli_fit_rejects_too_few_points(tmp_path):
         ("x,y\n0.5,0.4\n0.6,nan\n0.7,0.6\n0.8,0.7\n", 3),
         ("x,y\n0.5,0.4\n0.6,oops\n0.7,0.6\n0.8,0.7\n", 3),
         ("x,y\n0.5,0.4\n0.5,0.5\n0.5,0.6\n", None),
+        ("x,y\n0.5,0.4\n0.6,0.4\n0.7,0.4\n", None),
     ],
-    ids=["x-zero", "y-negative", "nan", "malformed-row", "all-x-equal"],
+    ids=["x-zero", "y-negative", "nan", "malformed-row", "all-x-equal", "all-y-equal"],
 )
 def test_cli_fit_bad_points_exit_2_with_one_line(tmp_path, capsys, content, line):
     path = tmp_path / "points.csv"
@@ -960,6 +961,20 @@ def _tool_line(function=None, call=None, **fields) -> str:
     return json.dumps(dict(row, **fields)) + "\n"
 
 
+def _tool_line_without_name(part: str) -> str:
+    """A valid tool corpus row whose first entry of `part` has no name."""
+    row = make_tool_lines(1)[0]
+    first, *rest = row[part]
+    row[part] = [{k: v for k, v in first.items() if k != "name"}, *rest]
+    return json.dumps(row) + "\n"
+
+
+# The reason a bad input's error line gives, by case id, where a test pins it.
+_BAD_INPUT_REASONS = {
+    "corpus-gold-not-a-number": "unparseable gold answer 'n/a'",
+    "tools-function-without-name": "function entry missing name",
+    "tools-call-without-name": "call entry missing name",
+}
 RECORD_WITHOUT_ITEM_ID = {
     "condition": "direct_cot", "score": 1.0, "step_count": 2, "solver_model": "mock-model"
 }
@@ -993,6 +1008,9 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         ("eval-tools", "corpus", _tool_line(call={"success": "false"})),
         ("eval-tools", "corpus", _tool_line(id=[1])),
         ("eval-math", "corpus", json.dumps({"id": 5, "question": "q", "answer": "<<3+4=7>>\n#### 7"}) + "\n"),
+        ("eval-math", "corpus", json.dumps({"question": "q", "answer": "#### n/a"}) + "\n"),
+        ("eval-tools", "corpus", _tool_line_without_name("functions")),
+        ("eval-tools", "corpus", _tool_line_without_name("calls")),
     ],
     ids=[
         "mock-missing",
@@ -1019,9 +1037,12 @@ REPEATED_ID_CORPUS = "".join(json.dumps(dict(line, id="g000")) + "\n" for line i
         "tools-call-success-not-bool",
         "tools-id-not-str",
         "corpus-id-not-str",
+        "corpus-gold-not-a-number",
+        "tools-function-without-name",
+        "tools-call-without-name",
     ],
 )
-def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, flag, content):
+def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, request, command, flag, content):
     _, config, transcript, tmp_path = math_run
     bad = tmp_path / "out" / "records.jsonl" if flag == "records" else tmp_path / "bad.jsonl"
     bad.parent.mkdir(exist_ok=True)
@@ -1040,6 +1061,9 @@ def test_cli_bad_input_file_exits_2_with_one_line(math_run, capsys, command, fla
     assert bad.name in err[0]
     if content is not None:  # each bad file goes wrong on its last line
         assert f"line {len(content.splitlines())}" in err[0]
+    assert _BAD_INPUT_REASONS.get(request.node.callspec.id, "") in err[0]
+    if flag != "records":
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("source", ["corpus", "records", "mock"])
@@ -1069,14 +1093,16 @@ def test_cli_input_that_is_not_utf8_exits_2_naming_file_and_line(math_run, capsy
     "http:///v1/chat/completions",
     "http://[::1/v1/chat/completions",
     "http://localhost:port/v1/chat/completions",
+    "http://localhost:99999/v1",
+    "http://localhost:abc/v1",
+    "http://[::1/v1",
 ])
 def test_cli_live_run_with_bad_endpoint_url_exits_2_before_any_call(tmp_path, capsys, url):
     build_math_corpus(tmp_path / "corpus.jsonl", count=2)
     config = write_config(tmp_path, tmp_path / "corpus.jsonl", models=[dict(MODEL, endpoint_url=url)])
     assert cli_dispatch(["eval-math", "--config", str(config)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "'mock-model'" in err[0]
+    assert err == [f"error: model 'mock-model': endpoint_url {url!r} is not an http(s)://host URL"]
     assert not (tmp_path / "cache").exists()
     assert not (tmp_path / "out").exists()
 
@@ -2067,6 +2093,40 @@ def test_summarize_skips_fit_when_all_models_share_one_execution_ceiling(tmp_pat
     values = _values(sections)
     assert values["fit"] is None
     assert len({row["exe_acc"] for row in values["models"].values()}) == 1
+    emit_report(records, "math", sections, tmp_path)
+    assert "## Fit" not in (tmp_path / "report.md").read_text()
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_summarize_compares_no_guided_cell_that_shares_no_item_with_direct():
+    records = [
+        EvalRecord(item_id=f"{prefix}{k}", condition=cond, score=1.0, step_count=2,
+                   solver_model="a", planner_model="a" if prefix == "g" else None)
+        for prefix, cond in (("d", Condition.DIRECT_COT), ("g", Condition.PLAN_AUGMENTED))
+        for k in range(3)
+    ]
+    values = _values(summarize(records, "math"))
+    assert set(values["conditions"]) == {"a/direct_cot", "a/plan_augmented"}
+    assert values["p_values"] == {}
+
+
+def test_summarize_skips_fit_when_every_model_has_one_guided_accuracy(tmp_path):
+    models = ("m1", "m2", "m3")
+    plan = Condition.PLAN_AUGMENTED
+    records = [
+        EvalRecord(item_id=f"i{k}", condition=cond, score=float(k < 16), step_count=2,
+                   solver_model=model, planner_model=model if cond is plan else None)
+        for model in models
+        for cond in (Condition.DIRECT_COT, plan)
+        for k in range(40)
+    ]
+    p_exe = dict(zip(models, (0.7, 0.8, 0.9)))
+    sections = summarize(records, "math", p_exe_by_model=p_exe)
+    values = _values(sections)
+    assert values["fit"] is None
+    assert {row["acc_plus_plan"] for row in values["models"].values()} == {0.4}
+    assert len({row["exe_acc"] for row in values["models"].values()}) == 3
+    (tmp_path / "fit.json").write_text("{}")  # a stale fit is removed
     emit_report(records, "math", sections, tmp_path)
     assert "## Fit" not in (tmp_path / "report.md").read_text()
     assert not (tmp_path / "fit.json").exists()

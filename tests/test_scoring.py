@@ -169,6 +169,15 @@ def test_fit_degenerate_inputs():
         fit_power_and_linear([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
 
 
+@pytest.mark.parametrize("ys, message", [
+    ((0.4, 0.4, 0.4), "all y values identical"),
+    ((1e-200, 2e-200, 3e-200), "y values too close together to fit"),
+], ids=["all-y-equal", "spread-underflows"])
+def test_fit_refuses_y_values_without_a_spread(ys, message):
+    with pytest.raises(DegenerateInput, match=message):
+        fit_power_and_linear(list(zip((0.5, 0.6, 0.7), ys)))
+
+
 # --- ROUGE-L
 
 
@@ -342,6 +351,10 @@ def test_api_f1_identical():
 
 def test_api_f1_half_overlap():
     assert api_selection_f1([_call("A"), _call("B")], [_call("A"), _call("C")]) == pytest.approx(0.5)
+
+
+def test_api_f1_no_shared_name():
+    assert api_selection_f1([_call("A"), _call("B")], [_call("C")]) == 0.0
 
 
 def test_api_f1_multiset_counting():
